@@ -28,10 +28,11 @@ qvConfigOf(const PythiaConfig& cfg)
 PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
     : PrefetcherBase(cfg.name, 26112 /* 25.5KB, Table 4 */), cfg_(cfg),
       qv_(qvConfigOf(cfg)), eq_(cfg.eq_size), rng_(cfg.seed),
-      stats_("pythia")
+      stats_("pythia"), no_prefetch_action_(actionIndexOf(0))
 {
     assert(!cfg_.features.empty());
     assert(!cfg_.actions.empty());
+    assert(cfg_.degree >= 1 && cfg_.degree <= cfg_.actions.size());
 
     action_slots_.reserve(cfg_.actions.size());
     for (const std::int32_t offset : cfg_.actions) {
@@ -54,7 +55,8 @@ PythiaPrefetcher::PythiaPrefetcher(const PythiaConfig& cfg)
     c_action_prefetch_ = stats_.counterSlot("action_prefetch");
 
     state_scratch_.reserve(cfg_.features.size());
-    actions_scratch_.reserve(cfg_.degree);
+    // +1: topActionsInto inserts before it trims to k.
+    actions_scratch_.reserve(cfg_.degree + 1);
 }
 
 std::size_t
@@ -139,16 +141,16 @@ PythiaPrefetcher::train(const sim::PrefetchAccess& access,
     // net-beneficial. This keeps the extension conservative on patterns
     // where the agent has learned to stay quiet.
     if (actions.size() > 1) {
-        const std::size_t np = actionIndexOf(0);
         // Secondary actions must also clear the accurate-but-late return
         // floor: a learned-useful action sits near R_AL/(1-gamma), while
         // aliased or decayed rows drift below it.
         // topActionsInto just hashed this state's rows; probe the extra
         // actions without re-hashing (identical to qv_.q(state, a)).
         double floor = cfg_.rewards.r_al;
-        if (np != static_cast<std::size_t>(-1))
-            floor = std::max(
-                floor, qv_.qAtLastState(static_cast<std::uint32_t>(np)));
+        if (no_prefetch_action_ != static_cast<std::size_t>(-1))
+            floor = std::max(floor,
+                             qv_.qAtLastState(static_cast<std::uint32_t>(
+                                 no_prefetch_action_)));
         std::size_t keep = 1;
         while (keep < actions.size() &&
                qv_.qAtLastState(actions[keep]) > floor)

@@ -143,6 +143,10 @@ class PythiaPrefetcher : public pf::PrefetcherBase
     std::uint64_t* c_action_out_of_page_;
     std::uint64_t* c_action_prefetch_;
 
+    /** actionIndexOf(0), resolved once: the no-prefetch action whose Q
+     *  floors the secondary actions (SIZE_MAX when the list has none). */
+    std::size_t no_prefetch_action_;
+
     // Per-demand scratch (train() is single-threaded per agent).
     std::vector<std::uint64_t> state_scratch_;
     std::vector<std::uint32_t> actions_scratch_;

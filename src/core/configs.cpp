@@ -1,5 +1,7 @@
 #include "core/configs.hpp"
 
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/prefetcher_registry.hpp"
@@ -41,6 +43,37 @@ applyParams(PythiaConfig cfg, const sim::PrefetcherParams& p)
     return cfg;
 }
 
+/** Upper limits of the spec-string tunables (degree is limited by the
+ *  action count, planes by kMaxPlanes). */
+constexpr std::uint64_t kMaxEqSize = 1u << 16;
+constexpr std::uint32_t kMaxPlaneIndexBits = 16;
+
+/** Reject a tunable outside [lo, hi]: such values crash or exhaust
+ *  memory at construction or on the first demand (no action to take,
+ *  an empty EQ ring, a plane without a shift constant, a 2^31-row
+ *  plane). */
+void
+requireRange(const PythiaConfig& cfg, const char* key, std::uint64_t value,
+             std::uint64_t lo, std::uint64_t hi)
+{
+    if (value < lo || value > hi)
+        throw std::invalid_argument(
+            cfg.name + ": " + key + "=" + std::to_string(value) +
+            " is out of range (" + std::to_string(lo) + ".." +
+            std::to_string(hi) + ")");
+}
+
+PythiaConfig
+validated(PythiaConfig cfg)
+{
+    requireRange(cfg, "degree", cfg.degree, 1, cfg.actions.size());
+    requireRange(cfg, "eq_size", cfg.eq_size, 1, kMaxEqSize);
+    requireRange(cfg, "planes", cfg.planes, 1, kMaxPlanes);
+    requireRange(cfg, "plane_index_bits", cfg.plane_index_bits, 1,
+                 kMaxPlaneIndexBits);
+    return cfg;
+}
+
 sim::PrefetcherEntry
 pythiaEntry(std::string name, std::string description,
             PythiaConfig (*base)())
@@ -49,8 +82,8 @@ pythiaEntry(std::string name, std::string description,
             [base](const sim::PrefetcherParams& p) {
                 // Parameters override the scaled defaults, so e.g.
                 // "pythia:alpha=0.0065" pins the paper's raw value.
-                return std::make_unique<PythiaPrefetcher>(
-                    applyParams(scaledForSimLength(base()), p));
+                return std::make_unique<PythiaPrefetcher>(validated(
+                    applyParams(scaledForSimLength(base()), p)));
             }};
 }
 

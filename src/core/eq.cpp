@@ -26,7 +26,9 @@ EvaluationQueue::EvaluationQueue(std::size_t capacity) : capacity_(capacity)
     assert(capacity_ > 0);
     const std::size_t backing = nextPow2(capacity_);
     mask_ = backing - 1;
+    assert(backing < kNil);
     ring_.resize(backing);
+    next_.assign(backing, kNil);
     // Distinct pending blocks never exceed the live entry count, but
     // immortal keys (see PendingCounts) can push past it; start at 2x
     // capacity rounded up and grow on demand.
@@ -53,13 +55,13 @@ EvaluationQueue::pendingFind(Addr key) const
     return kNpos;
 }
 
-EvaluationQueue::PendingCounts&
+EvaluationQueue::PendingSlot&
 EvaluationQueue::pendingRef(Addr key)
 {
     std::size_t i = pendingHome(key);
     while (pending_[i].used) {
         if (pending_[i].key == key)
-            return pending_[i].pc;
+            return pending_[i];
         i = (i + 1) & pending_mask_;
     }
     if ((pending_size_ + 1) * 4 > pending_.size() * 3) {
@@ -68,11 +70,22 @@ EvaluationQueue::pendingRef(Addr key)
         while (pending_[i].used)
             i = (i + 1) & pending_mask_;
     }
+    pending_[i] = PendingSlot{};
     pending_[i].used = true;
     pending_[i].key = key;
-    pending_[i].pc = PendingCounts{};
     ++pending_size_;
-    return pending_[i].pc;
+    return pending_[i];
+}
+
+void
+EvaluationQueue::chainAppend(PendingSlot& s, std::uint32_t i)
+{
+    next_[i] = kNil;
+    if (s.newest == kNil)
+        s.oldest = i;
+    else
+        next_[s.newest] = i;
+    s.newest = i;
 }
 
 void
@@ -119,33 +132,43 @@ EvaluationQueue::insert(EqEntry entry)
 {
     std::optional<EqEntry> evicted;
     if (count_ >= capacity_) {
-        evicted = std::move(ring_[head_]);
+        const auto slot = static_cast<std::uint32_t>(head_);
+        evicted = std::move(ring_[slot]);
         head_ = (head_ + 1) & mask_;
         --count_;
         if (evicted->has_prefetch) {
             const std::size_t pi = pendingFind(evicted->prefetch_block);
             if (pi != kNpos) {
+                PendingSlot& s = pending_[pi];
+                // The evicted entry is the oldest live one, so it heads
+                // its chain unless it is an orphan of an erased slot.
+                if (s.oldest == slot) {
+                    s.oldest = next_[slot];
+                    if (s.oldest == kNil)
+                        s.newest = kNil;
+                }
                 // Decrement only for transitions this entry still
                 // carries; an externally rewarded entry was never
                 // decremented, and stays accounted (see PendingCounts).
-                PendingCounts& pc = pending_[pi].pc;
-                if (!evicted->has_reward && pc.unrewarded > 0)
-                    --pc.unrewarded;
-                if (!evicted->fill_known && pc.fill_unknown > 0)
-                    --pc.fill_unknown;
-                if (pc.unrewarded == 0 && pc.fill_unknown == 0)
+                if (!evicted->has_reward && s.pc.unrewarded > 0)
+                    --s.pc.unrewarded;
+                if (!evicted->fill_known && s.pc.fill_unknown > 0)
+                    --s.pc.fill_unknown;
+                if (s.pc.unrewarded == 0 && s.pc.fill_unknown == 0)
                     pendingErase(pi);
             }
         }
     }
+    const auto slot = static_cast<std::uint32_t>((head_ + count_) & mask_);
     if (entry.has_prefetch) {
-        PendingCounts& pc = pendingRef(entry.prefetch_block);
+        PendingSlot& s = pendingRef(entry.prefetch_block);
         if (!entry.has_reward)
-            ++pc.unrewarded;
+            ++s.pc.unrewarded;
         if (!entry.fill_known)
-            ++pc.fill_unknown;
+            ++s.pc.fill_unknown;
+        chainAppend(s, slot);
     }
-    ring_[(head_ + count_) & mask_] = std::move(entry);
+    ring_[slot] = std::move(entry);
     ++count_;
     return evicted;
 }
@@ -156,13 +179,13 @@ EvaluationQueue::search(Addr block)
     const std::size_t pi = pendingFind(block);
     if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
         return nullptr;
-    // Most recent first: a fresh prefetch should absorb the demand match.
-    for (std::size_t i = count_; i-- > 0;) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block && !e.has_reward)
-            return &e;
-    }
-    return nullptr;
+    // Most recent first: a fresh prefetch should absorb the demand
+    // match. The chain runs oldest-first, so keep the last match.
+    EqEntry* hit = nullptr;
+    for (std::uint32_t i = pending_[pi].oldest; i != kNil; i = next_[i])
+        if (!ring_[i].has_reward)
+            hit = &ring_[i];
+    return hit;
 }
 
 std::vector<EqEntry*>
@@ -172,11 +195,9 @@ EvaluationQueue::searchAll(Addr block)
     const std::size_t pi = pendingFind(block);
     if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
         return matches;
-    for (std::size_t i = 0; i < count_; ++i) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block && !e.has_reward)
-            matches.push_back(&e);
-    }
+    for (std::uint32_t i = pending_[pi].oldest; i != kNil; i = next_[i])
+        if (!ring_[i].has_reward)
+            matches.push_back(&ring_[i]);
     return matches;
 }
 
@@ -186,21 +207,21 @@ EvaluationQueue::markFill(Addr block, Cycle at)
     const std::size_t pi = pendingFind(block);
     if (pi == kNpos || pending_[pi].pc.fill_unknown == 0)
         return false;
-    for (std::size_t i = count_; i-- > 0;) {
-        EqEntry& e = ring_[(head_ + i) & mask_];
-        if (e.has_prefetch && e.prefetch_block == block &&
-            !e.fill_known) {
-            e.fill_time = at;
-            e.fill_known = true;
-            PendingCounts& pc = pending_[pi].pc;
-            if (pc.fill_unknown > 0)
-                --pc.fill_unknown;
-            if (pc.unrewarded == 0 && pc.fill_unknown == 0)
-                pendingErase(pi);
-            return true;
-        }
-    }
-    return false;
+    // The newest unfilled entry takes the fill.
+    std::uint32_t hit = kNil;
+    for (std::uint32_t i = pending_[pi].oldest; i != kNil; i = next_[i])
+        if (!ring_[i].fill_known)
+            hit = i;
+    if (hit == kNil)
+        return false;
+    ring_[hit].fill_time = at;
+    ring_[hit].fill_known = true;
+    PendingCounts& pc = pending_[pi].pc;
+    if (pc.fill_unknown > 0)
+        --pc.fill_unknown;
+    if (pc.unrewarded == 0 && pc.fill_unknown == 0)
+        pendingErase(pi);
+    return true;
 }
 
 const EqEntry&
@@ -296,10 +317,18 @@ EvaluationQueue::loadState(snap::Reader& r)
     const std::uint64_t n_pending = r.u64();
     for (std::uint64_t i = 0; i < n_pending; ++i) {
         const Addr addr = r.u64();
-        PendingCounts pc;
+        PendingCounts& pc = pendingRef(addr).pc;
         pc.unrewarded = r.u32();
         pc.fill_unknown = r.u32();
-        pendingRef(addr) = pc;
+    }
+    // The chains are derived data: link every prefetching entry whose
+    // block has a slot, in queue order (head_ is 0 after a load).
+    for (std::uint32_t i = 0; i < count_; ++i) {
+        if (!ring_[i].has_prefetch)
+            continue;
+        const std::size_t pi = pendingFind(ring_[i].prefetch_block);
+        if (pi != kNpos)
+            chainAppend(pending_[pi], i);
     }
 }
 

@@ -10,9 +10,11 @@
  * Data layout (DESIGN.md §10): the queue is a fixed-capacity flat ring
  * (power-of-two backing store, head index + count) of EqEntry values
  * whose state vectors live inline in the entry (StateVec) — inserting,
- * evicting and scanning the EQ performs zero heap allocations. The
- * pending-block index in front of the scans is an open-addressed linear
- * probe table over flat slots, replacing the node-based unordered_map.
+ * evicting and matching performs zero heap allocations. Demand and
+ * fill matching go through the pending-block index, an open-addressed
+ * linear-probe table whose slots chain their block's ring entries in
+ * queue order: a match walks only the entries of its block, never the
+ * ring (the software form of the hardware's associative lookup).
  */
 #pragma once
 
@@ -142,9 +144,10 @@ class EvaluationQueue
      * offsets from different trigger addresses can target the same line);
      * each of them generated a useful prefetch and earns a reward.
      *
-     * Mutating has_reward through the returned pointers bypasses the
-     * pending-block index, losing that block's O(1) early exit (never
-     * correctness); reward through rewardAll() on hot paths.
+     * Setting has_reward through the returned pointers bypasses the
+     * pending-block counts, losing that block's O(1) early exit (never
+     * correctness); reward through rewardAll() on hot paths. Resolution
+     * flags (has_reward, fill_known) must never be cleared externally.
      */
     std::vector<EqEntry*> searchAll(Addr block);
 
@@ -163,20 +166,19 @@ class EvaluationQueue
         const std::size_t pi = pendingFind(block);
         if (pi == kNpos || pending_[pi].pc.unrewarded == 0)
             return 0;
+        PendingSlot& s = pending_[pi];
         std::size_t rewarded = 0;
-        for (std::size_t i = 0; i < count_; ++i) {
-            EqEntry& e = ring_[(head_ + i) & mask_];
-            if (e.has_prefetch && e.prefetch_block == block &&
-                !e.has_reward) {
+        for (std::uint32_t i = s.oldest; i != kNil; i = next_[i]) {
+            EqEntry& e = ring_[i];
+            if (!e.has_reward) {
                 assign(e);
                 e.has_reward = true;
                 ++rewarded;
-                if (pending_[pi].pc.unrewarded > 0)
-                    --pending_[pi].pc.unrewarded;
+                if (s.pc.unrewarded > 0)
+                    --s.pc.unrewarded;
             }
         }
-        if (pending_[pi].pc.unrewarded == 0 &&
-            pending_[pi].pc.fill_unknown == 0)
+        if (s.pc.unrewarded == 0 && s.pc.fill_unknown == 0)
             pendingErase(pi);
         return rewarded;
     }
@@ -203,7 +205,8 @@ class EvaluationQueue
      *  u64 runs, so the in-memory layout never leaks into the wire. */
     void saveState(snap::Writer& w) const;
 
-    /** Restore a saveState() image into a queue of equal capacity.
+    /** Restore a saveState() image into a queue of equal capacity,
+     *  then rebuild the block chains from the restored entries.
      *  @throws snap::CorruptError on capacity/occupancy/state-width
      *  mismatch. */
     void loadState(snap::Reader& r);
@@ -211,9 +214,8 @@ class EvaluationQueue
   private:
     /**
      * Per-block occupancy counts for the O(1) early exit in front of
-     * the queue scans. A 256-entry EQ is scanned on *every* demand
-     * access, and almost every scan matches nothing; one hash probe
-     * answers "nothing here" without walking the ring.
+     * the chain walks: almost every demand matches nothing, and one
+     * hash probe answers "nothing here".
      *
      * Counts are conservative: they decrement only when the queue
      * itself observes the transition (rewardAll / markFill / eviction),
@@ -228,13 +230,29 @@ class EvaluationQueue
         std::uint32_t fill_unknown = 0; ///< has_prefetch && !fill_known
     };
 
-    /** One open-addressed pending-index slot (linear probing). The
-     *  occupancy flag is separate from the key because block 0 is a
-     *  valid address. */
+    /** End of a block chain / empty chain. */
+    static constexpr std::uint32_t kNil = static_cast<std::uint32_t>(-1);
+
+    /**
+     * One open-addressed pending-index slot (linear probing). The
+     * occupancy flag is separate from the key because block 0 is a
+     * valid address.
+     *
+     * The slot heads its block's chain: every prefetching entry
+     * inserted while the slot exists, linked oldest to newest through
+     * next_ (DESIGN.md §10.2). FIFO eviction removes the oldest live
+     * entry, so an evicted chained entry is always its chain's head.
+     * Erasing the slot (both counts zero) orphans the chain; orphans are
+     * fully resolved and can never match again, so no walk needs them.
+     * The chain fields are derived data: never serialized, rebuilt by
+     * loadState().
+     */
     struct PendingSlot
     {
         Addr key = 0;
         PendingCounts pc;
+        std::uint32_t oldest = kNil; ///< ring slot of the chain head
+        std::uint32_t newest = kNil; ///< ring slot of the chain tail
         bool used = false;
     };
 
@@ -244,7 +262,9 @@ class EvaluationQueue
     /** Linear-probe lookup; kNpos when absent. */
     std::size_t pendingFind(Addr key) const;
     /** Lookup-or-insert; grows the table at 3/4 load. */
-    PendingCounts& pendingRef(Addr key);
+    PendingSlot& pendingRef(Addr key);
+    /** Link ring slot @p i as the newest entry of @p s's chain. */
+    void chainAppend(PendingSlot& s, std::uint32_t i);
     /** Backward-shift deletion keeping every probe chain contiguous. */
     void pendingErase(std::size_t i);
     void pendingGrow();
@@ -254,6 +274,9 @@ class EvaluationQueue
     std::size_t head_ = 0;  ///< ring index of the oldest entry
     std::size_t count_ = 0; ///< live entries
     std::vector<EqEntry> ring_;
+    /** Per ring slot: the next newer entry of its block chain (kNil at
+     *  the tail). Stale for unchained slots, which no walk reaches. */
+    std::vector<std::uint32_t> next_;
     std::vector<PendingSlot> pending_;
     std::size_t pending_mask_;
     std::size_t pending_size_ = 0;

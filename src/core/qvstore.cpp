@@ -12,7 +12,11 @@ namespace pythia::rl {
 namespace {
 
 /// Per-plane shift constants "randomly selected at design time" (§4.2.1).
-constexpr unsigned kPlaneShift[] = {3, 11, 19, 27, 5, 13, 21, 29};
+constexpr unsigned kPlaneShift[kMaxPlanes] = {3, 11, 19, 27,
+                                              5, 13, 21, 29};
+
+/// Actions scored per scanActions() chunk.
+constexpr std::uint32_t kScanChunk = 8;
 
 } // namespace
 
@@ -29,8 +33,6 @@ QVStore::QVStore(const QVStoreConfig& cfg) : cfg_(cfg)
                           cfg_.num_planes,
                       0);
     qa_.assign(cfg_.num_actions, 0.0);
-    vault_acc_.assign(cfg_.num_actions, 0.0);
-    taken_.assign(cfg_.num_actions, 0);
     resetToOptimistic();
 }
 
@@ -125,31 +127,36 @@ QVStore::qFromRows(std::uint32_t action) const
 void
 QVStore::scanActions() const
 {
+    // Fixed-width action chunks with per-action accumulators: the
+    // chunk loops have a compile-time trip count, so GCC vectorizes
+    // them at -O2 (its default very-cheap cost model rejects loops that
+    // need a runtime-count epilogue), and each action keeps its own
+    // addition chain in qFromRows' order — nothing is reassociated.
     const std::uint32_t A = cfg_.num_actions;
     const float* table = table_.data();
-    const std::size_t* b = row_bases_.data();
-    double* acc = vault_acc_.data();
     double* qa = qa_.data();
-    for (std::uint32_t a = 0; a < A; ++a)
-        qa[a] = -1e300;
-    for (std::uint32_t v = 0; v < cfg_.num_features; ++v) {
-        for (std::uint32_t a = 0; a < A; ++a)
-            acc[a] = 0.0;
-        // Each plane row is one contiguous A-float run; accumulating it
-        // element-wise keeps one independent addition chain per action
-        // (the same order qFromRows uses), so this loop vectorizes
-        // across actions without any floating-point reassociation.
-        for (std::uint32_t p = 0; p < cfg_.num_planes; ++p) {
-            const float* row = table + b[p];
-            for (std::uint32_t a = 0; a < A; ++a)
-                acc[a] += static_cast<double>(row[a]);
+    std::uint32_t a0 = 0;
+    for (; a0 + kScanChunk <= A; a0 += kScanChunk) {
+        double best[kScanChunk];
+        for (std::uint32_t j = 0; j < kScanChunk; ++j)
+            best[j] = -1e300;
+        const std::size_t* b = row_bases_.data();
+        for (std::uint32_t v = 0; v < cfg_.num_features; ++v) {
+            double acc[kScanChunk] = {};
+            for (std::uint32_t p = 0; p < cfg_.num_planes; ++p) {
+                const float* row = table + b[p] + a0;
+                for (std::uint32_t j = 0; j < kScanChunk; ++j)
+                    acc[j] += static_cast<double>(row[j]);
+            }
+            b += cfg_.num_planes;
+            for (std::uint32_t j = 0; j < kScanChunk; ++j)
+                best[j] = acc[j] > best[j] ? acc[j] : best[j];
         }
-        b += cfg_.num_planes;
-        for (std::uint32_t a = 0; a < A; ++a) {
-            if (acc[a] > qa[a])
-                qa[a] = acc[a];
-        }
+        for (std::uint32_t j = 0; j < kScanChunk; ++j)
+            qa[a0 + j] = best[j];
     }
+    for (; a0 < A; ++a0)
+        qa[a0] = qFromRows(a0);
     scan_valid_ = true;
 }
 
@@ -194,29 +201,22 @@ QVStore::topActionsInto(const std::uint64_t* state, std::size_t n,
 {
     computeRows(state, n);
     scanActions();
-    // Repeated strict-> argmax over the scanned scores with a taken mask:
-    // identical selection (and order) to sorting all (q, action) pairs by
-    // (q desc, action asc) and keeping the first k — lower index wins
-    // every tie — without the sort or the pair buffer.
+    // One pass of insertion into the k best: an action displaces only
+    // entries with strictly lower Q, so equal Qs keep ascending index —
+    // the (q desc, action asc) order of sorting all actions.
     const std::uint32_t A = cfg_.num_actions;
     const double* qa = qa_.data();
-    std::uint8_t* taken = taken_.data();
-    std::fill_n(taken, A, std::uint8_t{0});
+    const std::size_t take = k < A ? k : A;
     out.clear();
-    const std::uint32_t take = k < A ? k : A;
-    for (std::uint32_t i = 0; i < take; ++i) {
-        std::uint32_t best = A;
-        double best_q = 0.0;
-        for (std::uint32_t a = 0; a < A; ++a) {
-            if (taken[a])
-                continue;
-            if (best == A || qa[a] > best_q) {
-                best_q = qa[a];
-                best = a;
-            }
-        }
-        taken[best] = 1;
-        out.push_back(best);
+    for (std::uint32_t a = 0; a < A; ++a) {
+        std::size_t pos = out.size();
+        while (pos > 0 && qa[a] > qa[out[pos - 1]])
+            --pos;
+        if (pos >= take)
+            continue;
+        out.insert(out.begin() + static_cast<std::ptrdiff_t>(pos), a);
+        if (out.size() > take)
+            out.pop_back();
     }
 }
 

@@ -11,11 +11,12 @@
  * in [vault][plane][row][action] order — a structure-of-arrays whose
  * innermost dimension is the action, so every hashed plane row is one
  * contiguous `num_actions`-float run (exactly one 64-byte cache line at
- * the paper's 16 actions). Action scoring is a single linear pass over
- * those rows with one independent accumulator per action (scanActions),
- * which auto-vectorizes without reassociating any floating-point sum:
- * each action's partial-value chain keeps its scalar evaluation order,
- * so vectorized and scalar builds produce bit-identical Q-values.
+ * the paper's 16 actions). Action scoring walks those rows in
+ * fixed-width action chunks with one independent accumulator per action
+ * (scanActions); the constant-width chunk loops vectorize at -O2 without
+ * reassociating any floating-point sum: each action's partial-value
+ * chain keeps its scalar evaluation order, so vectorized and scalar
+ * builds produce bit-identical Q-values.
  */
 #pragma once
 
@@ -31,6 +32,9 @@ class Reader;
 } // namespace pythia::snap
 
 namespace pythia::rl {
+
+/** Planes per vault: one per design-time plane shift constant. */
+inline constexpr std::uint32_t kMaxPlanes = 8;
 
 /** QVStore geometry and learning parameters (paper Table 2 / Table 4). */
 struct QVStoreConfig
@@ -213,12 +217,13 @@ class QVStore
 
     /**
      * The data-oriented kernel: score ALL actions of the last
-     * computeRows() state in one linear pass. Per vault, each plane row
-     * (contiguous floats) is accumulated element-wise into one double
-     * accumulator per action — independent chains, so the compiler may
-     * vectorize across actions without changing any addition order —
-     * then folded into @p qa_ with an element-wise max over vaults.
-     * Bit-identical to calling qFromRows() per action.
+     * computeRows() state into @p qa_. Actions go in fixed-width chunks:
+     * per vault, each plane row's chunk (contiguous floats) accumulates
+     * element-wise into one double per action — independent chains, so
+     * the constant-width loops vectorize across actions without
+     * changing any addition order — then folds into the chunk's
+     * element-wise max over vaults. Actions past the last full chunk
+     * take qFromRows(). Bit-identical to qFromRows() per action.
      */
     void scanActions() const;
 
@@ -235,10 +240,6 @@ class QVStore
     mutable std::vector<std::size_t> row_bases_;
     /** scanActions() output: Q of the last state per action. */
     mutable std::vector<double> qa_;
-    /** scanActions() per-vault accumulators (one per action). */
-    mutable std::vector<double> vault_acc_;
-    /** topActionsInto() selection scratch (taken-action marks). */
-    mutable std::vector<std::uint8_t> taken_;
     /** Whether qa_ reflects the state of the last computeRows(). */
     mutable bool scan_valid_ = false;
 };

@@ -5,7 +5,8 @@
  * retained scalar reference across randomized configurations and
  * traffic, and the flat-ring EvaluationQueue must preserve the
  * deque-era FIFO semantics (insert/evict/match/reward order) under
- * randomized traffic, including its serialized byte stream.
+ * randomized traffic, including its serialized byte stream and a
+ * restore partway through that traffic.
  */
 #include <gtest/gtest.h>
 
@@ -331,6 +332,19 @@ runEqTrafficTrial(std::size_t capacity, std::uint64_t seed)
     auto randomBlock = [&] { return rng.nextBounded(48); };
 
     for (int op = 0; op < 4000; ++op) {
+        // Every 1000 ops, round-trip the queue through a snapshot and
+        // carry on with the restored copy: loadState must rebuild the
+        // block chains so the traffic that follows still matches the
+        // reference model.
+        if (op > 0 && op % 1000 == 0) {
+            snap::Writer w;
+            eq.saveState(w);
+            ASSERT_EQ(expectedEqBytes(ref), w.buffer()) << "op " << op;
+            snap::Reader r(w.buffer().data(), w.buffer().size());
+            rl::EvaluationQueue restored(capacity);
+            restored.loadState(r);
+            eq = std::move(restored);
+        }
         const std::uint64_t kind = rng.nextBounded(100);
         if (kind < 40) {
             rl::EqEntry e;

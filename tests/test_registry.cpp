@@ -126,6 +126,26 @@ TEST(SpecRegistry, IllTypedValueRejected)
     expectBadSpec("nextline:degree=-2", {"degree"});
 }
 
+TEST(SpecRegistry, PythiaOutOfRangeParamsRejected)
+{
+    // Each of these used to crash or run into undefined behaviour at
+    // construction or on the first demand.
+    expectBadSpec("pythia:degree=0", {"pythia", "degree=0", "1..16"});
+    expectBadSpec("pythia:degree=17", {"degree=17", "1..16"});
+    expectBadSpec("pythia:eq_size=0", {"eq_size=0", "out of range"});
+    expectBadSpec("pythia:eq_size=1000000", {"eq_size=1000000"});
+    expectBadSpec("pythia:planes=0", {"planes=0", "1..8"});
+    expectBadSpec("pythia:planes=9", {"planes=9", "1..8"});
+    expectBadSpec("pythia:plane_index_bits=0", {"plane_index_bits=0"});
+    expectBadSpec("pythia:plane_index_bits=31",
+                  {"plane_index_bits=31", "1..16"});
+    expectBadSpec("pythia_strict:degree=0", {"pythia_strict", "degree"});
+    // The limits themselves are accepted.
+    EXPECT_NE(sim::makePrefetcher("pythia:degree=16,eq_size=1,planes=8,"
+                                  "plane_index_bits=1"),
+              nullptr);
+}
+
 TEST(SpecRegistry, ParameterizedSpecChangesBehavior)
 {
     auto deg1 = sim::makePrefetcher("nextline");
