@@ -130,14 +130,4 @@ Config::parseArgsStrict(int argc, const char* const* argv,
     }
 }
 
-std::vector<std::string>
-Config::keys() const
-{
-    std::vector<std::string> out;
-    out.reserve(kv_.size());
-    for (const auto& [k, v] : kv_)
-        out.push_back(k);
-    return out;
-}
-
 } // namespace pythia

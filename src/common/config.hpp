@@ -60,9 +60,6 @@ class Config
     void parseArgsStrict(int argc, const char* const* argv,
                          const std::vector<std::string>& allowed);
 
-    /** All keys, sorted (for dumping). */
-    std::vector<std::string> keys() const;
-
   private:
     std::map<std::string, std::string> kv_;
 };

@@ -143,13 +143,4 @@ SpecParams::getI32List(const std::string& key,
     return out;
 }
 
-std::vector<std::string>
-SpecParams::keys() const
-{
-    std::vector<std::string> out;
-    for (const auto& [k, v] : kv_)
-        out.push_back(k);
-    return out;
-}
-
 } // namespace pythia

@@ -49,9 +49,6 @@ class SpecParams
     getI32List(const std::string& key,
                const std::vector<std::int32_t>& dflt) const;
 
-    /** All keys present, sorted. */
-    std::vector<std::string> keys() const;
-
   private:
     [[noreturn]] void badValue(const std::string& key,
                                const std::string& value,

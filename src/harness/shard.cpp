@@ -17,94 +17,19 @@
 #include <utility>
 
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/event_loop.hpp"
+#include "common/frame.hpp"
 #include "harness/session.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace pythia::harness {
 
 namespace {
-
-/** Upper bound on any wire frame or journal record payload: a Result
- *  carries two RunResults plus metrics — kilobytes, not megabytes — so
- *  anything near this limit is corruption, not data. */
-constexpr std::uint32_t kMaxPayload = 64u << 20;
-
-// ------------------------------------------------------------ raw I/O
-
-/** write() the whole buffer, retrying EINTR. False on EPIPE/any error. */
-bool
-writeFull(int fd, const void* data, std::size_t n)
-{
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-    }
-    return true;
-}
-
-/** read() exactly @p n bytes. 1 = ok, 0 = clean EOF before any byte,
- *  -1 = error or EOF mid-read. */
-int
-readFull(int fd, void* data, std::size_t n)
-{
-    auto* p = static_cast<std::uint8_t*>(data);
-    std::size_t got = 0;
-    while (got < n) {
-        const ssize_t r = ::read(fd, p + got, n - got);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-        if (r == 0)
-            return got == 0 ? 0 : -1;
-        got += static_cast<std::size_t>(r);
-    }
-    return 1;
-}
-
-/** Frame = u32 little-endian payload length + payload bytes. */
-bool
-writeFrame(int fd, const std::vector<std::uint8_t>& payload)
-{
-    std::uint8_t hdr[4];
-    const auto len = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        hdr[i] = static_cast<std::uint8_t>(len >> (8 * i));
-    return writeFull(fd, hdr, 4) &&
-           writeFull(fd, payload.data(), payload.size());
-}
-
-/** Blocking frame read (worker side). 1 = frame in @p payload,
- *  0 = clean EOF at a frame boundary, -1 = error / truncated frame. */
-int
-readFrame(int fd, std::vector<std::uint8_t>& payload)
-{
-    std::uint8_t hdr[4];
-    const int r = readFull(fd, hdr, 4);
-    if (r <= 0)
-        return r;
-    std::uint32_t len = 0;
-    for (int i = 0; i < 4; ++i)
-        len |= static_cast<std::uint32_t>(hdr[i]) << (8 * i);
-    if (len > kMaxPayload)
-        return -1;
-    payload.resize(len);
-    return readFull(fd, payload.data(), len) == 1 ? 1 : -1;
-}
 
 // ------------------------------------------------------- frame types
 
@@ -454,10 +379,8 @@ scanJournal(const std::string& path,
             scan.discarded_tail_bytes = rem;
             break;
         }
-        std::uint32_t len = 0;
-        for (int i = 0; i < 4; ++i)
-            len |= static_cast<std::uint32_t>(bytes[p + i]) << (8 * i);
-        if (len > kMaxPayload)
+        const std::uint32_t len = decodeFrameHeader(&bytes[p]);
+        if (len > kMaxFramePayload)
             throw JournalCorruptError(
                 "journal corrupt: record " + std::to_string(index) +
                 " at byte offset " + std::to_string(p) +
@@ -556,12 +479,12 @@ shardWorkerMain(int argc, char** argv)
         ::raise(SIGKILL);
 
     // Handshake.
-    std::vector<std::uint8_t> payload;
-    if (readFrame(in_fd, payload) != 1)
-        return 1;
     std::string snapshot_dir;
     try {
-        snap::Reader r(payload.data(), payload.size());
+        const auto hello = readFrame(in_fd);
+        if (!hello)
+            return 1;
+        snap::Reader r(hello->data(), hello->size());
         if (r.u8() != kFrameHello)
             throw WireError("worker: first frame is not Hello");
         const std::string schema = r.str();
@@ -593,15 +516,13 @@ shardWorkerMain(int argc, char** argv)
 
     std::size_t jobs_seen = 0;
     for (;;) {
-        const int r = readFrame(in_fd, payload);
-        if (r == 0)
-            return 0; // coordinator closed the pipe: clean shutdown
-        if (r < 0)
-            return 1;
         std::uint64_t job = 0;
         ExperimentSpec spec;
         try {
-            snap::Reader rd(payload.data(), payload.size());
+            const auto payload = readFrame(in_fd);
+            if (!payload)
+                return 0; // coordinator closed the pipe: clean shutdown
+            snap::Reader rd(payload->data(), payload->size());
             if (rd.u8() != kFrameJob)
                 return 1;
             job = rd.u64();
@@ -688,7 +609,7 @@ struct WorkerSlot
     bool acked = false;
     std::optional<std::size_t> job; ///< currently dispatched job
     std::chrono::steady_clock::time_point dispatched_at{};
-    std::vector<std::uint8_t> buf;  ///< partial-frame accumulator
+    FrameReader in; ///< partial-frame accumulator over from_fd
 };
 
 /** Mutable run state shared by the coordinator loop helpers. */
@@ -797,7 +718,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                                 std::strerror(errno));
         if (need_header) {
             const auto hdr = encodeJournalHeader(fingerprint);
-            if (!writeFull(journal_fd, hdr.data(), hdr.size())) {
+            if (!writeAll(journal_fd, hdr.data(), hdr.size())) {
                 ::close(journal_fd);
                 throw snap::IoError("cannot write journal header to " +
                                     opt_.journal_path);
@@ -837,6 +758,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         std::filesystem::create_directories(opt_.snapshot_dir, ec);
     }
     std::vector<WorkerSlot> workers;
+    EventLoop loop; // one registration per live worker's from_fd
     std::size_t total_spawns = 0;
     const std::size_t spawn_cap =
         static_cast<std::size_t>(opt_.workers) *
@@ -880,8 +802,9 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         }
         ::close(to_pipe[0]);
         ::close(from_pipe[1]);
-        // Non-blocking reads: the poll loop drains whatever is buffered
-        // and must not hang when a read() lands between two frames.
+        // Non-blocking reads: the event loop drains whatever is
+        // buffered and must not hang when a read() lands between two
+        // frames.
         ::fcntl(from_pipe[0], F_SETFL, O_NONBLOCK);
         wk.pid = pid;
         wk.to_fd = to_pipe[1];
@@ -889,7 +812,8 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         wk.alive = true;
         wk.acked = false;
         wk.job.reset();
-        wk.buf.clear();
+        wk.in = FrameReader();
+        loop.add(wk.from_fd, &wk, true, false);
 
         snap::Writer hello;
         hello.u8(kFrameHello);
@@ -900,16 +824,24 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         (void)writeFrame(wk.to_fd, hello.buffer());
     };
 
+    // Unregister before close: a child forked by a later spawn holds
+    // the pipe until its exec, and epoll tracks files, not fds.
+    const auto reap = [&](WorkerSlot& wk) {
+        loop.del(wk.from_fd);
+        ::close(wk.to_fd);
+        ::close(wk.from_fd);
+        int status = 0;
+        ::waitpid(wk.pid, &status, 0);
+        wk.alive = false;
+        return status;
+    };
+
     const auto teardown = [&] {
         for (auto& wk : workers) {
             if (!wk.alive)
                 continue;
-            ::close(wk.to_fd);
-            ::close(wk.from_fd);
             ::kill(wk.pid, SIGKILL);
-            int status = 0;
-            ::waitpid(wk.pid, &status, 0);
-            wk.alive = false;
+            reap(wk);
         }
     };
 
@@ -921,7 +853,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         if (journal_fd >= 0) {
             const auto rec = encodeJournalRecord(
                 job, st.results[job], st.job_seconds[job]);
-            if (!writeFull(journal_fd, rec.data(), rec.size()))
+            if (!writeAll(journal_fd, rec.data(), rec.size()))
                 throw snap::IoError("cannot append to journal " +
                                     opt_.journal_path);
             ::fdatasync(journal_fd);
@@ -989,18 +921,18 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
 
     // Parse every complete frame in a worker's accumulator.
     const auto drainFrames = [&](WorkerSlot& wk) {
-        std::size_t off = 0;
-        while (wk.buf.size() - off >= 4) {
-            std::uint32_t len = 0;
-            for (int i = 0; i < 4; ++i)
-                len |= static_cast<std::uint32_t>(wk.buf[off + i])
-                       << (8 * i);
-            if (len > kMaxPayload)
-                throw WireError("shard: oversized frame from worker " +
-                                std::to_string(wk.index));
-            if (wk.buf.size() - off - 4 < len)
-                break;
-            snap::Reader r(wk.buf.data() + off + 4, len);
+        for (;;) {
+            std::optional<std::vector<std::uint8_t>> frame;
+            try {
+                frame = wk.in.next();
+            } catch (const FrameError& e) {
+                throw WireError("shard: worker " +
+                                std::to_string(wk.index) + ": " +
+                                e.what());
+            }
+            if (!frame)
+                return;
+            snap::Reader r(frame->data(), frame->size());
             const std::uint8_t type = r.u8();
             if (type == kFrameHelloAck) {
                 const std::string schema = r.str();
@@ -1047,21 +979,12 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                                 std::to_string(type) + " from worker " +
                                 std::to_string(wk.index));
             }
-            off += 4ull + len;
         }
-        if (off > 0)
-            wk.buf.erase(wk.buf.begin(),
-                         wk.buf.begin() +
-                             static_cast<std::ptrdiff_t>(off));
     };
 
     const auto onWorkerDeath = [&](WorkerSlot& wk) {
         drainFrames(wk); // results already buffered still count
-        ::close(wk.to_fd);
-        ::close(wk.from_fd);
-        int status = 0;
-        ::waitpid(wk.pid, &status, 0);
-        wk.alive = false;
+        const int status = reap(wk);
         const bool exec_failed = !wk.acked && WIFEXITED(status) &&
                                  WEXITSTATUS(status) == 127;
         if (exec_failed)
@@ -1127,61 +1050,24 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         }
 
         // Event loop: drain results, feed idle workers, survive deaths.
+        std::vector<IoEvent> events;
         while (st.spec_done < st.spec_total) {
-            std::vector<pollfd> fds;
-            std::vector<std::size_t> slot_of;
-            for (std::size_t i = 0; i < workers.size(); ++i) {
-                if (!workers[i].alive)
-                    continue;
-                fds.push_back({workers[i].from_fd, POLLIN, 0});
-                slot_of.push_back(i);
-            }
-            if (fds.empty())
+            if (std::none_of(workers.begin(), workers.end(),
+                             [](const WorkerSlot& wk) { return wk.alive; }))
                 throw ShardError("shard: no live workers but " +
                                  std::to_string(st.spec_total -
                                                 st.spec_done) +
                                  " jobs incomplete");
-            const int pr = ::poll(fds.data(),
-                                  static_cast<nfds_t>(fds.size()), -1);
-            if (pr < 0) {
-                if (errno == EINTR)
-                    continue;
-                throw ShardError(std::string("shard: poll failed: ") +
-                                 std::strerror(errno));
-            }
-            for (std::size_t k = 0; k < fds.size(); ++k) {
-                if (fds[k].revents == 0)
-                    continue;
-                WorkerSlot& wk = workers[slot_of[k]];
+            loop.wait(events, -1);
+            for (const IoEvent& ev : events) {
+                WorkerSlot& wk = *static_cast<WorkerSlot*>(ev.ud);
                 if (!wk.alive)
                     continue;
-                bool dead = false;
-                if (fds[k].revents & (POLLIN | POLLHUP)) {
-                    std::uint8_t tmp[65536];
-                    for (;;) {
-                        const ssize_t r =
-                            ::read(wk.from_fd, tmp, sizeof tmp);
-                        if (r > 0) {
-                            wk.buf.insert(
-                                wk.buf.end(), tmp,
-                                tmp + static_cast<std::size_t>(r));
-                            continue;
-                        }
-                        if (r == 0) {
-                            dead = true;
-                            break;
-                        }
-                        if (errno == EINTR)
-                            continue;
-                        if (errno == EAGAIN || errno == EWOULDBLOCK)
-                            break;
-                        dead = true;
-                        break;
-                    }
+                bool dead = ev.err && !ev.in;
+                if (ev.in) {
+                    dead = !wk.in.fill(wk.from_fd);
                     if (!dead)
                         drainFrames(wk);
-                } else if (fds[k].revents & (POLLERR | POLLNVAL)) {
-                    dead = true;
                 }
                 if (dead)
                     onWorkerDeath(wk);

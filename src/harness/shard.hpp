@@ -8,7 +8,8 @@
  *
  * Three layers, each versioned and testable on its own:
  *
- *  1. **Wire format** (`pythia-shard-v1`): length-prefixed frames over
+ *  1. **Wire format** (`pythia-shard-v1`): length-prefixed frames
+ *     (common/frame.hpp, shared with the service protocol) over
  *     anonymous pipes. The coordinator sends a Hello (schema name +
  *     version + worker index + shared snapshot dir) and then Job frames
  *     (job id + full ExperimentSpec); the worker answers each with a
@@ -278,7 +279,8 @@ class ShardCoordinator
     explicit ShardCoordinator(ShardOptions opt = {});
 
     /** Execute @p sweep; see class comment. @throws ShardError /
-     *  JournalError family, or the first job error by job index. */
+     *  JournalError family, std::system_error when the event loop
+     *  fails, or the first job error by job index. */
     std::vector<Runner::Outcome> run(Runner& runner, const Sweep& sweep);
 
     const ShardReport& lastReport() const { return report_; }

@@ -139,15 +139,6 @@ SppPrefetcher::predictBest(std::uint32_t signature) const
     return p;
 }
 
-std::uint32_t
-SppPrefetcher::pageSignature(Addr block) const
-{
-    const Addr page = pageIdOfBlock(block);
-    const StEntry& e =
-        const_cast<SppPrefetcher*>(this)->stEntry(page);
-    return e.page == page ? e.signature : 0;
-}
-
 void
 SppPrefetcher::train(const PrefetchAccess& access,
                      std::vector<PrefetchRequest>& out)

@@ -57,9 +57,6 @@ class SppPrefetcher : public PrefetcherBase
      *  the signature is unknown). */
     Prediction predictBest(std::uint32_t signature) const;
 
-    /** Signature currently tracked for @p block's page (0 if untracked). */
-    std::uint32_t pageSignature(Addr block) const;
-
     static constexpr std::uint32_t kSigBits = 12;
     static constexpr std::uint32_t kSigMask = (1u << kSigBits) - 1;
 

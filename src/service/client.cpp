@@ -116,9 +116,8 @@ ServeClient::close()
         ::close(fd_);
         fd_ = -1;
     }
-    inbuf_.clear();
-    outbuf_.clear();
-    out_off_ = 0;
+    in_ = FrameReader();
+    out_ = OutboxRing();
     records_consumed_ = 0;
 }
 
@@ -132,28 +131,33 @@ ServeClient::ensureConnected()
 }
 
 void
-ServeClient::queueFrame(const std::vector<std::uint8_t>& payload)
+ServeClient::queueFrame(std::vector<std::uint8_t> payload)
 {
-    if (payload.empty() || payload.size() > kMaxFramePayload)
-        throw ServeWireError("serve client: invalid frame payload size " +
-                             std::to_string(payload.size()));
-    const auto n = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        outbuf_.push_back(static_cast<std::uint8_t>(n >> (8 * i)));
-    outbuf_.insert(outbuf_.end(), payload.begin(), payload.end());
+    checkFrameLength(payload.size());
+    out_.push(std::move(payload));
+}
+
+std::optional<std::vector<std::uint8_t>>
+ServeClient::nextFrame()
+{
+    try {
+        return in_.next();
+    } catch (const FrameError& e) {
+        throw ServeWireError(std::string("serve client: ") + e.what());
+    }
 }
 
 std::optional<std::vector<std::uint8_t>>
 ServeClient::pollOnce(int timeout_ms)
 {
     // A frame may already be buffered.
-    if (auto frame = extractFrame(inbuf_))
+    if (auto frame = nextFrame())
         return frame;
 
     pollfd pfd{};
     pfd.fd = fd_;
     pfd.events = POLLIN;
-    if (out_off_ < outbuf_.size())
+    if (!out_.empty())
         pfd.events |= POLLOUT;
     const int rc = ::poll(&pfd, 1, timeout_ms);
     if (rc < 0) {
@@ -165,55 +169,16 @@ ServeClient::pollOnce(int timeout_ms)
     if (rc == 0)
         return std::nullopt;
 
-    if (pfd.revents & POLLOUT) {
-        while (out_off_ < outbuf_.size()) {
-            const ssize_t n =
-                ::send(fd_, outbuf_.data() + out_off_,
-                       outbuf_.size() - out_off_, MSG_NOSIGNAL);
-            if (n < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)
-                    break;
-                throw ServeWireError(
-                    std::string("serve client: send: ") +
-                    std::strerror(errno));
-            }
-            out_off_ += static_cast<std::size_t>(n);
-        }
-        if (out_off_ == outbuf_.size()) {
-            outbuf_.clear();
-            out_off_ = 0;
-        } else if (out_off_ > (1u << 20)) {
-            outbuf_.erase(outbuf_.begin(),
-                          outbuf_.begin() +
-                              static_cast<std::ptrdiff_t>(out_off_));
-            out_off_ = 0;
-        }
-    }
+    if ((pfd.revents & POLLOUT) &&
+        flushOutbox(fd_, out_) == FlushResult::kDead)
+        throw ServeWireError(std::string("serve client: send: ") +
+                             std::strerror(errno));
 
-    if (pfd.revents & (POLLIN | POLLHUP | POLLERR)) {
-        std::uint8_t buf[65536];
-        for (;;) {
-            const ssize_t n = ::recv(fd_, buf, sizeof buf, 0);
-            if (n < 0) {
-                if (errno == EAGAIN || errno == EWOULDBLOCK ||
-                    errno == EINTR)
-                    break;
-                throw ServeWireError(
-                    std::string("serve client: recv: ") +
-                    std::strerror(errno));
-            }
-            if (n == 0) {
-                close();
-                throw ServeWireError(
-                    "serve client: daemon closed the connection");
-            }
-            inbuf_.insert(inbuf_.end(), buf, buf + n);
-            if (static_cast<std::size_t>(n) < sizeof buf)
-                break;
-        }
+    if ((pfd.revents & (POLLIN | POLLHUP | POLLERR)) && !in_.fill(fd_)) {
+        close();
+        throw ServeWireError("serve client: daemon closed the connection");
     }
-    return extractFrame(inbuf_);
+    return nextFrame();
 }
 
 std::vector<std::uint8_t>
@@ -291,7 +256,7 @@ ServeClient::streamRun(const std::vector<wl::TraceRecord>& records,
     for (;;) {
         while (sent < records.size() &&
                sent - records_consumed_ < ahead &&
-               outbuf_.size() - out_off_ < (4u << 20)) {
+               out_.bytes() < (4u << 20)) {
             const std::uint64_t n = std::min(
                 {kSendBatch,
                  static_cast<std::uint64_t>(records.size()) - sent,

@@ -3,8 +3,10 @@
  * ServeClient — blocking-API client for the pythia-serve-v1 protocol,
  * shared by the serve_client load generator and tests/test_service.cpp.
  *
- * Internally the socket is nonblocking and every call runs a small
- * poll loop that always keeps reading while it writes — so a client
+ * Internally the socket is nonblocking and every call waits on it with
+ * a single-fd poll() that always keeps reading while it writes — frames
+ * go out through an OutboxRing and come in through a FrameReader
+ * (common/frame.hpp) — so a client
  * streaming records can never deadlock against a daemon that is
  * simultaneously throttling its input (inflight cap) and emitting
  * windows.
@@ -21,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "common/frame.hpp"
 #include "harness/spec.hpp"
 #include "harness/timeseries.hpp"
 #include "service/wire.hpp"
@@ -87,7 +90,10 @@ class ServeClient
 
   private:
     void ensureConnected();
-    void queueFrame(const std::vector<std::uint8_t>& payload);
+    void queueFrame(std::vector<std::uint8_t> payload);
+    /** The next buffered frame, if whole. @throws ServeWireError on a
+     *  bad length header. */
+    std::optional<std::vector<std::uint8_t>> nextFrame();
     /** Flush pending output and wait for the next complete frame.
      *  @throws ServeWireError on EOF or @p timeout_ms expiry. */
     std::vector<std::uint8_t> waitFrame(int timeout_ms = 120'000);
@@ -96,9 +102,8 @@ class ServeClient
 
     std::string address_;
     int fd_ = -1;
-    std::vector<std::uint8_t> inbuf_;
-    std::vector<std::uint8_t> outbuf_;
-    std::size_t out_off_ = 0;
+    FrameReader in_;
+    OutboxRing out_;
     std::uint64_t records_consumed_ = 0; ///< daemon's last ack
     harness::ExperimentSpec spec_;
     std::uint64_t window_instrs_ = 0;

@@ -2,9 +2,8 @@
  * @file
  * ServeServer — the prefetch-as-a-service daemon core (DESIGN.md §12).
  *
- * A single-threaded connection loop — epoll on Linux, poll() fallback,
- * selected at runtime (event_loop.hpp) — accepts clients on a Unix
- * or loopback-TCP socket and speaks pythia-serve-v1 (wire.hpp). Each
+ * A single-threaded epoll connection loop (common/event_loop.hpp)
+ * accepts clients on a Unix or loopback-TCP socket and speaks pythia-serve-v1 (wire.hpp). Each
  * client attaches a *tenant*: an id + ExperimentSpec whose access
  * stream the client feeds in kAccess frames and whose SimSession runs
  * on a worker thread pool, emitting kWindow metrics as measurement
@@ -20,7 +19,7 @@
  *    on the connection plus a dirty-connection list and self-pipe
  *    wakeup; the loop splices staged frames into the connection's
  *    iovec outbox ring and flushes it with one vectored write per
- *    batch (event_loop.hpp).
+ *    batch (common/frame.hpp).
  *
  * Resource caps (per tenant / connection):
  *  - inflight records: when streamed-but-unconsumed records exceed
@@ -57,8 +56,6 @@
 #include <memory>
 #include <string>
 
-#include "service/event_loop.hpp"
-
 namespace pythia::service {
 
 struct ServeOptions
@@ -87,10 +84,6 @@ struct ServeOptions
     /** Evict sessions idle for this long and close their connection;
      *  0 disables idle eviction. */
     std::uint64_t idle_evict_ms = 0;
-
-    /** Readiness backend for the connection loop (`io=` knob):
-     *  kAuto resolves to epoll on Linux, poll elsewhere. */
-    IoBackend io = IoBackend::kAuto;
 
     /** Byte budget of the shared warm-snapshot pool (`warm_pool_bytes=`
      *  knob): the first tenant finishing warmup for a spec publishes
@@ -129,8 +122,6 @@ class ServeServer
     /** requestDrain() + join(). */
     int stop();
 
-    bool running() const;
-
     /** Monotonic counters, readable from any thread. */
     struct Stats
     {
@@ -151,10 +142,6 @@ class ServeServer
     };
 
     Stats stats() const;
-
-    /** The kStatsAck document: counters plus the aggregate
-     *  pythia-timeseries-v1 series of recently emitted windows. */
-    std::string statsJson() const;
 
   private:
     struct Impl;

@@ -1,10 +1,5 @@
 #include "service/wire.hpp"
 
-#include <cerrno>
-#include <cstring>
-
-#include <unistd.h>
-
 namespace pythia::service {
 
 namespace {
@@ -330,105 +325,6 @@ decodeError(const std::vector<std::uint8_t>& payload)
         requireEnd(r, "error");
         return m;
     });
-}
-
-// ----------------------------------------------------------- frame I/O
-
-namespace {
-
-void
-writeFull(int fd, const void* data, std::size_t n)
-{
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    while (n > 0) {
-        const ssize_t w = ::write(fd, p, n);
-        if (w < 0) {
-            if (errno == EINTR)
-                continue;
-            throw ServeWireError(std::string("serve wire: write: ") +
-                                 std::strerror(errno));
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-    }
-}
-
-/** @return bytes read; short only at EOF. */
-std::size_t
-readFull(int fd, void* data, std::size_t n)
-{
-    auto* p = static_cast<std::uint8_t*>(data);
-    std::size_t got = 0;
-    while (got < n) {
-        const ssize_t r = ::read(fd, p + got, n - got);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            throw ServeWireError(std::string("serve wire: read: ") +
-                                 std::strerror(errno));
-        }
-        if (r == 0)
-            break;
-        got += static_cast<std::size_t>(r);
-    }
-    return got;
-}
-
-} // namespace
-
-void
-writeFrame(int fd, const std::vector<std::uint8_t>& payload)
-{
-    if (payload.empty() || payload.size() > kMaxFramePayload)
-        throw ServeWireError("serve wire: invalid frame payload size " +
-                             std::to_string(payload.size()));
-    std::uint8_t len[4];
-    const auto n = static_cast<std::uint32_t>(payload.size());
-    for (int i = 0; i < 4; ++i)
-        len[i] = static_cast<std::uint8_t>(n >> (8 * i));
-    writeFull(fd, len, sizeof len);
-    writeFull(fd, payload.data(), payload.size());
-}
-
-std::optional<std::vector<std::uint8_t>>
-readFrame(int fd)
-{
-    std::uint8_t len[4];
-    const std::size_t got = readFull(fd, len, sizeof len);
-    if (got == 0)
-        return std::nullopt; // clean EOF at a frame boundary
-    if (got < sizeof len)
-        throw ServeWireError("serve wire: truncated frame header");
-    std::uint32_t n = 0;
-    for (int i = 0; i < 4; ++i)
-        n |= static_cast<std::uint32_t>(len[i]) << (8 * i);
-    if (n == 0 || n > kMaxFramePayload)
-        throw ServeWireError("serve wire: bad frame length " +
-                             std::to_string(n));
-    std::vector<std::uint8_t> payload(n);
-    if (readFull(fd, payload.data(), n) < n)
-        throw ServeWireError("serve wire: truncated frame payload");
-    return payload;
-}
-
-std::optional<std::vector<std::uint8_t>>
-extractFrame(std::vector<std::uint8_t>& buf)
-{
-    if (buf.size() < 4)
-        return std::nullopt;
-    std::uint32_t n = 0;
-    for (int i = 0; i < 4; ++i)
-        n |= static_cast<std::uint32_t>(buf[static_cast<std::size_t>(i)])
-             << (8 * i);
-    if (n == 0 || n > kMaxFramePayload)
-        throw ServeWireError("serve wire: bad frame length " +
-                             std::to_string(n));
-    if (buf.size() < 4 + static_cast<std::size_t>(n))
-        return std::nullopt;
-    std::vector<std::uint8_t> payload(buf.begin() + 4,
-                                      buf.begin() + 4 + n);
-    buf.erase(buf.begin(), buf.begin() + 4 + n);
-    return payload;
 }
 
 } // namespace pythia::service

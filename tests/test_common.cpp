@@ -1,18 +1,32 @@
 /**
  * @file
  * Unit tests for the common utilities: address helpers, RNG determinism,
- * hashing, stats, tables and config parsing.
+ * hashing, stats, tables, config parsing, the frame transport and the
+ * event loop.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <system_error>
+#include <thread>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include "../bench/bench_common.hpp"
 #include "common/config.hpp"
+#include "common/event_loop.hpp"
+#include "common/frame.hpp"
 #include "common/hashing.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -370,6 +384,194 @@ TEST(BenchArgs, WorkersAloneAndWithExplicitSingleJobAccepted)
     const bench::BenchOptions b = parseBench({"workers=2", "jobs=1"});
     EXPECT_EQ(b.workers, 2u);
     EXPECT_EQ(b.jobs, 1u);
+}
+
+// -------------------------------------------------------------- framing
+
+std::vector<std::uint8_t>
+frameBytes(std::uint32_t len, const std::vector<std::uint8_t>& payload)
+{
+    const FrameHeader h = encodeFrameHeader(len);
+    std::vector<std::uint8_t> out(h.size() + payload.size());
+    std::copy(h.begin(), h.end(), out.begin());
+    std::copy(payload.begin(), payload.end(), out.begin() + h.size());
+    return out;
+}
+
+/** The read end of a socketpair carrying @p stream, then EOF. Streams
+ *  that fit the socket buffer are written before the first read, so
+ *  they arrive in one read(); larger ones come from a writer thread. */
+class StreamFeed
+{
+  public:
+    explicit StreamFeed(std::vector<std::uint8_t> stream)
+        : stream_(std::move(stream))
+    {
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds_), 0);
+        if (stream_.size() <= 4096)
+            writeAndClose();
+        else
+            writer_ = std::thread([this] { writeAndClose(); });
+    }
+    ~StreamFeed()
+    {
+        if (writer_.joinable())
+            writer_.join();
+        ::close(fds_[0]);
+    }
+    int fd() const { return fds_[0]; }
+
+  private:
+    void writeAndClose()
+    {
+        EXPECT_TRUE(writeAll(fds_[1], stream_.data(), stream_.size()));
+        ::close(fds_[1]);
+    }
+
+    std::vector<std::uint8_t> stream_;
+    int fds_[2] = {-1, -1};
+    std::thread writer_;
+};
+
+TEST(Frame, ReadersAgreeOnHostileAndPartialStreams)
+{
+    enum End
+    {
+        kCleanEof, ///< EOF at a frame boundary
+        kTruncated, ///< EOF inside a header or payload
+        kBadLength, ///< zero or above the cap: hostile input
+    };
+    struct Case
+    {
+        const char* name;
+        std::vector<std::uint8_t> stream;
+        std::vector<std::vector<std::uint8_t>> frames; ///< whole frames
+        End end;
+    };
+    const std::vector<std::uint8_t> at_cap(kMaxFramePayload, 0x5a);
+    const std::vector<Case> cases = {
+        {"empty stream", {}, {}, kCleanEof},
+        {"zero length", frameBytes(0, {}), {}, kBadLength},
+        {"one past the cap", frameBytes(kMaxFramePayload + 1, {}), {},
+         kBadLength},
+        {"exactly at the cap", frameBytes(kMaxFramePayload, at_cap),
+         {at_cap}, kCleanEof},
+        {"two frames in one read",
+         {1, 0, 0, 0, 'a', 2, 0, 0, 0, 'b', 'c'},
+         {{'a'}, {'b', 'c'}},
+         kCleanEof},
+        // A partial frame is not an error for the accumulator — it is
+        // "keep reading". Only EOF makes it a truncation.
+        {"partial header", {5, 0}, {}, kTruncated},
+        {"partial payload", {5, 0, 0, 0, 1, 2}, {}, kTruncated},
+    };
+
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+
+        // Blocking readFrame.
+        {
+            StreamFeed feed(c.stream);
+            for (const auto& want : c.frames) {
+                const auto got = readFrame(feed.fd());
+                ASSERT_TRUE(got.has_value());
+                EXPECT_TRUE(*got == want);
+            }
+            if (c.end == kCleanEof)
+                EXPECT_FALSE(readFrame(feed.fd()).has_value());
+            else
+                EXPECT_THROW(readFrame(feed.fd()), FrameError);
+        }
+
+        // Non-blocking accumulator, fed until EOF.
+        {
+            StreamFeed feed(c.stream);
+            FrameReader in;
+            std::vector<std::vector<std::uint8_t>> got;
+            std::size_t fills = 0;
+            bool threw = false;
+            try {
+                for (bool open = true; open;) {
+                    open = in.fill(feed.fd());
+                    ++fills;
+                    while (auto frame = in.next())
+                        got.push_back(std::move(*frame));
+                }
+            } catch (const FrameError&) {
+                threw = true;
+            }
+            EXPECT_EQ(threw, c.end == kBadLength);
+            EXPECT_TRUE(got == c.frames);
+            if (!threw && !c.stream.empty() && c.stream.size() <= 4096) {
+                EXPECT_EQ(fills, 2u) << "one read for the bytes, one "
+                                        "for the EOF";
+            }
+        }
+    }
+}
+
+TEST(Frame, WriteFrameRejectsEmptyAndOversizedPayloads)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    EXPECT_THROW(writeFrame(sv[0], {}), FrameError);
+    EXPECT_THROW(
+        writeFrame(sv[0], std::vector<std::uint8_t>(kMaxFramePayload + 1)),
+        FrameError);
+    EXPECT_TRUE(writeFrame(sv[0], {7}));
+    ::close(sv[0]);
+    const auto got = readFrame(sv[1]);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, std::vector<std::uint8_t>{7});
+    EXPECT_FALSE(readFrame(sv[1]).has_value());
+    ::close(sv[1]);
+}
+
+// ----------------------------------------------------------- event loop
+
+TEST(EventLoop, SignalInterruptedWaitReturnsZero)
+{
+    struct sigaction sa = {};
+    struct sigaction old = {};
+    sa.sa_handler = [](int) {};
+    sigemptyset(&sa.sa_mask); // no SA_RESTART: epoll_wait fails EINTR
+    ASSERT_EQ(::sigaction(SIGALRM, &sa, &old), 0);
+    itimerval timer = {};
+    timer.it_value.tv_usec = 20'000;
+    ASSERT_EQ(::setitimer(ITIMER_REAL, &timer, nullptr), 0);
+
+    EventLoop loop;
+    std::vector<IoEvent> events;
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(loop.wait(events, 10'000), 0u);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(5))
+        << "the signal did not interrupt the wait";
+    EXPECT_TRUE(events.empty());
+    ::sigaction(SIGALRM, &old, nullptr);
+}
+
+TEST(EventLoop, WaitFailureThrows)
+{
+    // The loop's epoll fd takes the lowest free descriptor; replacing
+    // it with a pipe makes epoll_wait fail with EINVAL, an error that
+    // must surface rather than read as a timeout.
+    const int lowest = ::open("/dev/null", O_RDONLY);
+    ASSERT_GE(lowest, 0);
+    ::close(lowest);
+    EventLoop loop;
+    char target[64] = {};
+    ASSERT_GT(::readlink(("/proc/self/fd/" + std::to_string(lowest)).c_str(),
+                         target, sizeof target - 1),
+              0);
+    ASSERT_EQ(std::string(target), "anon_inode:[eventpoll]");
+    int p[2];
+    ASSERT_EQ(::pipe(p), 0);
+    ASSERT_EQ(::dup2(p[0], lowest), lowest);
+    std::vector<IoEvent> events;
+    EXPECT_THROW(loop.wait(events, 0), std::system_error);
+    ::close(p[0]);
+    ::close(p[1]);
 }
 
 } // namespace

@@ -34,11 +34,11 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include "common/frame.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
 #include "service/client.hpp"
-#include "service/event_loop.hpp"
 #include "service/server.hpp"
 #include "service/stream_workload.hpp"
 #include "service/warm_pool.hpp"
@@ -387,20 +387,6 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
     auto access = encodeAccess(&rec, 1);
     access.back() |= 0x80;
     EXPECT_THROW(decodeAccess(access), ServeWireError);
-
-    // Framing: zero and oversized length prefixes are hostile input.
-    std::vector<std::uint8_t> buf = {0, 0, 0, 0};
-    EXPECT_THROW(extractFrame(buf), ServeWireError);
-    const std::uint32_t huge = kMaxFramePayload + 1;
-    buf.clear();
-    for (int i = 0; i < 4; ++i)
-        buf.push_back(static_cast<std::uint8_t>(huge >> (8 * i)));
-    EXPECT_THROW(extractFrame(buf), ServeWireError);
-    // A partial frame is not an error — it is "keep reading".
-    buf = {5, 0, 0, 0, 1, 2};
-    auto partial = extractFrame(buf);
-    EXPECT_FALSE(partial.has_value());
-    EXPECT_EQ(buf.size(), 6u);
 }
 
 // --------------------------------------------------------- StreamWorkload
@@ -1084,18 +1070,13 @@ TEST_F(ServiceTest, StatsEndpointAggregatesAcrossTenants)
     EXPECT_EQ(server.stop(), 0);
 }
 
-// ------------------------------------------------- event-loop backends
+// ----------------------------------------------------------- event loop
 
-namespace {
-
-/** One spec served end to end under @p opt; asserts bit-exactness
- *  against the offline run and that the stats document names the
- *  expected readiness backend. */
-void
-expectBackendServesBitExact(ServeOptions opt, const char* backend)
+/** One spec served end to end; asserts bit-exactness against the
+ *  offline run and that the stats document names the epoll loop. */
+TEST_F(ServiceTest, EpollBackendServesBitExact)
 {
-    opt.io = parseIoBackend(backend);
-    ServeServer server(opt);
+    ServeServer server(baseOptions());
     server.start();
     constexpr std::uint64_t kWindow = 2000;
     const auto spec = makeSpec("470.lbm-164B", "pythia");
@@ -1103,45 +1084,19 @@ expectBackendServesBitExact(ServeOptions opt, const char* backend)
     const OfflineRun off = runOffline(spec, kWindow);
 
     ServeClient client(server.boundAddress());
-    client.open(std::string("io-") + backend, spec, kWindow);
+    client.open("io-epoll", spec, kWindow);
     const auto progress = client.streamRun(records);
-    ASSERT_TRUE(progress.final_result.has_value()) << backend;
+    ASSERT_TRUE(progress.final_result.has_value());
     EXPECT_EQ(resultBits(*progress.final_result),
-              resultBits(off.final_result))
-        << backend;
+              resultBits(off.final_result));
     expectSeriesEqual(progress.series.samples(), off.series.samples(),
-                      std::string("io=") + backend);
+                      "epoll");
 
     ServeClient probe(server.boundAddress());
     const std::string json = probe.stats();
-    EXPECT_NE(json.find(std::string("\"io_backend\": \"") + backend +
-                        "\""),
-              std::string::npos)
+    EXPECT_NE(json.find("\"io_backend\": \"epoll\""), std::string::npos)
         << json;
     EXPECT_EQ(server.stop(), 0);
-}
-
-} // namespace
-
-TEST_F(ServiceTest, PollBackendServesBitExact)
-{
-    expectBackendServesBitExact(baseOptions(), "poll");
-}
-
-#ifdef __linux__
-TEST_F(ServiceTest, EpollBackendServesBitExact)
-{
-    expectBackendServesBitExact(baseOptions(), "epoll");
-}
-#endif
-
-TEST_F(ServiceTest, ParseIoBackendRejectsUnknownNames)
-{
-    EXPECT_EQ(parseIoBackend("auto"), IoBackend::kAuto);
-    EXPECT_EQ(parseIoBackend("poll"), IoBackend::kPoll);
-    EXPECT_EQ(parseIoBackend("epoll"), IoBackend::kEpoll);
-    EXPECT_THROW(parseIoBackend("kqueue"), ServeError);
-    EXPECT_THROW(parseIoBackend(""), ServeError);
 }
 
 // ---------------------------------------------------------- outbox ring

@@ -29,6 +29,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/frame.hpp"
 #include "harness/session.hpp"
 #include "harness/shard.hpp"
 
@@ -405,6 +406,43 @@ TEST_F(ShardService, MissingWorkerBinaryIsATypedError)
     ShardCoordinator coordinator(opt);
     Sweep sweep = testSweep();
     EXPECT_THROW(coordinator.run(runner, sweep), ShardError);
+}
+
+// ------------------------------------------------- transport framing
+
+/** Run the test sweep against a stand-in worker that answers with one
+ *  frame header (@p header, printf octal escapes) and exits. */
+void
+expectWireErrorFromWorkerHeader(const std::string& script,
+                                const char* header)
+{
+    {
+        std::ofstream f(script);
+        f << "#!/bin/sh\nprintf '" << header
+          << "' > \"/proc/self/fd/$2\"\n";
+    }
+    fs::permissions(script, fs::perms::owner_all);
+    ShardOptions opt;
+    opt.workers = 1;
+    opt.worker_path = script;
+    Runner runner;
+    ShardCoordinator coordinator(opt);
+    Sweep sweep = testSweep();
+    EXPECT_THROW(coordinator.run(runner, sweep), WireError);
+}
+
+TEST_F(ShardService, ZeroLengthFrameFromWorkerIsAWireError)
+{
+    expectWireErrorFromWorkerHeader(path("zero.sh"),
+                                    "\\000\\000\\000\\000");
+}
+
+TEST_F(ShardService, FrameAboveTheSharedCapIsAWireError)
+{
+    // One byte over the cap, as a header: 01 00 00 01.
+    static_assert(kMaxFramePayload + 1 == 0x01000001u);
+    expectWireErrorFromWorkerHeader(path("huge.sh"),
+                                    "\\001\\000\\000\\001");
 }
 
 // ---------------------------------------------- coordinator crashes

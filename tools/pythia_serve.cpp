@@ -13,15 +13,14 @@
  *   pythia_serve [listen=unix:/tmp/pythia.sock | listen=tcp:0]
  *                [workers=2] [state_dir=serve_state]
  *                [inflight_records=1048576] [outbox_bytes=8388608]
- *                [idle_evict_ms=0] [io=auto|poll|epoll]
- *                [warm_pool_bytes=67108864] [quiet=0]
+ *                [idle_evict_ms=0] [warm_pool_bytes=67108864]
+ *                [quiet=0]
  *
  * listen=tcp:<port> binds 127.0.0.1:<port> (0 picks an ephemeral port);
  * the daemon prints "listening on <address>" on stdout either way, so
  * scripts can scrape the bound address.
  *
- * io= selects the readiness backend (auto → epoll on Linux, poll
- * elsewhere). warm_pool_bytes= caps the shared warm-snapshot pool —
+ * warm_pool_bytes= caps the shared warm-snapshot pool —
  * identical specs warm once and every later open restores the
  * post-warmup state bit-exactly; 0 disables the pool.
  */
@@ -55,8 +54,7 @@ main(int argc, char** argv)
         cli.parseArgsStrict(argc, argv,
                             {"listen", "workers", "state_dir",
                              "inflight_records", "outbox_bytes",
-                             "idle_evict_ms", "io", "warm_pool_bytes",
-                             "quiet"});
+                             "idle_evict_ms", "warm_pool_bytes", "quiet"});
     } catch (const std::exception& e) {
         std::cerr << "pythia_serve: " << e.what() << "\n";
         return 2;
@@ -107,8 +105,6 @@ main(int argc, char** argv)
             cli.getInt("outbox_bytes", 8 << 20));
         opt.idle_evict_ms = static_cast<std::uint64_t>(
             cli.getInt("idle_evict_ms", 0));
-        opt.io = service::parseIoBackend(
-            cli.getString("io", "auto"));
         // Warm pool on by default: 64 MiB holds dozens of pooled
         // warmups; pass warm_pool_bytes=0 to opt out.
         opt.warm_pool_bytes = static_cast<std::size_t>(
