@@ -331,9 +331,8 @@ SimSession::resumeFrom(ExperimentSpec spec, const std::string& path,
                        std::vector<std::unique_ptr<wl::Workload>> workloads)
 {
     SimSession session(std::move(spec), std::move(workloads));
-    const snap::SnapshotFile file =
-        snap::readSnapshotFile(path, fingerprintFor(session.spec_));
-    session.restoreSessionBody(file);
+    session.restoreSessionBody(snap::readSnapshotFile(path, ""),
+                               fingerprintFor(session.spec_), path);
     return session;
 }
 
@@ -345,27 +344,40 @@ SimSession::resumeFromBytes(ExperimentSpec spec,
                             const std::string& label)
 {
     SimSession session(std::move(spec), std::move(workloads));
-    const snap::SnapshotFile file = snap::readSnapshotBytes(
-        std::move(bytes), fingerprintFor(session.spec_), label);
-    session.restoreSessionBody(file);
+    session.restoreSessionBody(
+        snap::readSnapshotBytes(std::move(bytes), "", label),
+        fingerprintFor(session.spec_), label);
+    return session;
+}
+
+SimSession
+SimSession::resumeFromValidated(
+    ExperimentSpec spec, const snap::SnapshotFile& file,
+    std::vector<std::unique_ptr<wl::Workload>> workloads,
+    const std::string& fingerprint, const std::string& label)
+{
+    SimSession session(std::move(spec), std::move(workloads));
+    session.restoreSessionBody(file, fingerprint, label);
     return session;
 }
 
 void
-SimSession::restoreSessionBody(const snap::SnapshotFile& file)
+SimSession::restoreSessionBody(const snap::SnapshotFile& file,
+                               const std::string& fingerprint,
+                               const std::string& label)
 {
-    SimSession& session = *this;
+    snap::requireFingerprint(file, fingerprint, label);
     snap::Reader r = file.body();
     r.enterSection("session");
-    session.warmup_done_ = r.boolean();
-    session.run_ended_ = r.boolean();
-    session.advanced_ = r.u64();
-    session.windows_completed_ = r.u64();
-    session.has_window_ = r.boolean();
-    session.cumulative_ = readRunResult(r);
-    session.last_ = readWindowSample(r);
+    warmup_done_ = r.boolean();
+    run_ended_ = r.boolean();
+    advanced_ = r.u64();
+    windows_completed_ = r.u64();
+    has_window_ = r.boolean();
+    cumulative_ = readRunResult(r);
+    last_ = readWindowSample(r);
     r.leaveSection();
-    session.system_->loadState(r);
+    system_->loadState(r);
     if (!r.atEnd())
         throw snap::CorruptError(
             "snapshot corrupt: " + std::to_string(r.remaining()) +

@@ -222,6 +222,22 @@ class SimSession
                     std::vector<std::unique_ptr<wl::Workload>> workloads,
                     const std::string& label = "<memory>");
 
+    /**
+     * resumeFrom over a snapshot that was already read and validated
+     * (magic, version, checksum) — the daemon's warm pool validates
+     * each image once, when it is admitted, and every hit restores
+     * from the same immutable file: no copy, no re-hash. The
+     * fingerprint is still compared per restore: @p fingerprint must
+     * be fingerprintFor(spec), passed in because the pool lookup has
+     * already computed it (snap::FingerprintError on mismatch).
+     */
+    static SimSession
+    resumeFromValidated(ExperimentSpec spec,
+                        const snap::SnapshotFile& file,
+                        std::vector<std::unique_ptr<wl::Workload>> workloads,
+                        const std::string& fingerprint,
+                        const std::string& label = "<memory>");
+
     /** Register a non-owning observer (must outlive the session). */
     void addObserver(SessionObserver* observer);
 
@@ -284,7 +300,12 @@ class SimSession
   private:
     void notifyRunEndOnce();
     void writeSessionBody(snap::Writer& w) const;
-    void restoreSessionBody(const snap::SnapshotFile& file);
+    /** The one restore path behind every resume entry point: compare
+     *  the file's fingerprint with @p fingerprint, then decode the
+     *  session section and the machine. */
+    void restoreSessionBody(const snap::SnapshotFile& file,
+                            const std::string& fingerprint,
+                            const std::string& label);
 
     ExperimentSpec spec_;
     std::unique_ptr<sim::System> system_;

@@ -85,18 +85,18 @@ readPythiaConfig(snap::Reader& r)
     rl::PythiaConfig cfg;
     cfg.name = r.str();
     cfg.features.clear();
-    const std::uint64_t nf = r.u64();
-    cfg.features.reserve(static_cast<std::size_t>(nf));
-    for (std::uint64_t i = 0; i < nf; ++i) {
+    const std::size_t nf = r.count(2); // control + data byte each
+    cfg.features.reserve(nf);
+    for (std::size_t i = 0; i < nf; ++i) {
         rl::FeatureSpec f;
         f.control = static_cast<rl::ControlKind>(r.u8());
         f.data = static_cast<rl::DataKind>(r.u8());
         cfg.features.push_back(f);
     }
     cfg.actions.clear();
-    const std::uint64_t na = r.u64();
-    cfg.actions.reserve(static_cast<std::size_t>(na));
-    for (std::uint64_t i = 0; i < na; ++i)
+    const std::size_t na = r.count(4);
+    cfg.actions.reserve(na);
+    for (std::size_t i = 0; i < na; ++i)
         cfg.actions.push_back(r.i32());
     cfg.rewards.r_at = r.f64();
     cfg.rewards.r_al = r.f64();
@@ -235,10 +235,10 @@ readSpec(snap::Reader& r)
 {
     ExperimentSpec spec;
     spec.workload = r.str();
-    const std::uint64_t nm = r.u64();
+    const std::size_t nm = r.count(8); // each name has a u64 length
     spec.mix.clear();
-    spec.mix.reserve(static_cast<std::size_t>(nm));
-    for (std::uint64_t i = 0; i < nm; ++i)
+    spec.mix.reserve(nm);
+    for (std::size_t i = 0; i < nm; ++i)
         spec.mix.push_back(r.str());
     spec.prefetcher = r.str();
     spec.l1_prefetcher = r.str();

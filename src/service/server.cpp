@@ -379,25 +379,22 @@ struct ServeServer::Impl
 
     /** Leader just finished warmup: publish its post-warmup snapshot
      *  plus the warmup record prefix it consumed. Serialization
-     *  failures (a prefetcher without snapshot support) abandon the
-     *  entry — those specs simply keep warming per-tenant. */
+     *  failures (a prefetcher without snapshot support) and images
+     *  that fail the pool's admission check abandon the entry — those
+     *  specs simply keep warming per-tenant. */
     void publishWarm(const std::shared_ptr<Tenant>& t)
     {
         if (!t->warm_leader)
             return;
         t->warm_leader = false;
         try {
-            WarmPool::Snapshot snap;
-            snap.image =
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    t->session->snapshotBytes());
             const auto& records = t->stream->records();
             const auto consumed = static_cast<std::ptrdiff_t>(
                 t->stream->consumed());
-            snap.prefix =
-                std::make_shared<const std::vector<wl::TraceRecord>>(
-                    records.begin(), records.begin() + consumed);
-            warm_pool.publish(t->warm_fp, std::move(snap));
+            warm_pool.publish(
+                t->warm_fp, t->session->snapshotBytes(),
+                std::vector<wl::TraceRecord>(records.begin(),
+                                             records.begin() + consumed));
         } catch (const std::exception& e) {
             warm_pool.abandon(t->warm_fp);
             log("warm-pool publish failed for tenant '" + t->id +
@@ -442,6 +439,7 @@ struct ServeServer::Impl
             bool resumed = false;
             bool warm = false;
             WarmPool::Snapshot warm_snap;
+            std::string fp;
             if (hasEvictedState(t->id)) {
                 // Per-tenant evicted state takes precedence over the
                 // shared pool: it carries mid-run progress.
@@ -455,7 +453,7 @@ struct ServeServer::Impl
                     "serve:" + t->id, wl::readTraceFile(trace_path));
                 resumed = true;
             } else if (warm_pool.enabled()) {
-                const std::string fp = harness::fingerprintFor(t->spec);
+                fp = harness::fingerprintFor(t->spec);
                 const WarmPool::Role role = warm_pool.acquire(
                     fp, &warm_snap, [this, t, c] {
                         // Leader settled (published or abandoned):
@@ -487,9 +485,10 @@ struct ServeServer::Impl
                     std::move(workloads)));
                 ++sessions_resumed;
             } else if (warm) {
-                t->session.emplace(harness::SimSession::resumeFromBytes(
-                    t->spec, *warm_snap.image, std::move(workloads),
-                    "warm-pool"));
+                t->session.emplace(
+                    harness::SimSession::resumeFromValidated(
+                        t->spec, *warm_snap.image, std::move(workloads),
+                        fp, "warm-pool"));
             } else {
                 t->session.emplace(t->spec, std::move(workloads));
             }
@@ -1254,6 +1253,12 @@ ServeServer::stats() const
     s.warm_evictions = wp.evictions;
     s.warm_bytes = wp.bytes;
     return s;
+}
+
+WarmPool&
+ServeServer::warmPool()
+{
+    return impl_->warm_pool;
 }
 
 } // namespace pythia::service

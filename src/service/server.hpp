@@ -95,6 +95,8 @@ struct ServeOptions
     std::ostream* log = nullptr;
 };
 
+class WarmPool;
+
 class ServeServer
 {
   public:
@@ -142,6 +144,10 @@ class ServeServer
     };
 
     Stats stats() const;
+
+    /** The daemon's shared warm-snapshot pool, for inspection and
+     *  tests (a test can publish an image into it directly). */
+    WarmPool& warmPool();
 
   private:
     struct Impl;

@@ -9,7 +9,7 @@ warmSnapshotBytes(const WarmPool::Snapshot& snap)
 {
     std::size_t n = 0;
     if (snap.image)
-        n += snap.image->size();
+        n += snap.image->bytes.size();
     if (snap.prefix)
         n += snap.prefix->size() * sizeof(wl::TraceRecord);
     return n;
@@ -44,10 +44,25 @@ WarmPool::acquire(const std::string& fingerprint, Snapshot* out,
 }
 
 void
-WarmPool::publish(const std::string& fingerprint, Snapshot snap)
+WarmPool::publish(const std::string& fingerprint,
+                  std::vector<std::uint8_t> image,
+                  std::vector<wl::TraceRecord> prefix)
 {
     if (!enabled())
         return;
+
+    Snapshot warm;
+    try {
+        // Integrity only: the fingerprint is compared per hit, against
+        // the fingerprint of the tenant restoring.
+        warm.image = std::make_shared<const snap::SnapshotFile>(
+            snap::readSnapshotBytes(std::move(image), "", "warm-pool"));
+    } catch (const snap::SnapshotError&) {
+        abandon(fingerprint);
+        throw;
+    }
+    warm.prefix = std::make_shared<const std::vector<wl::TraceRecord>>(
+        std::move(prefix));
 
     std::vector<std::function<void()>> waiters;
     {
@@ -55,7 +70,7 @@ WarmPool::publish(const std::string& fingerprint, Snapshot snap)
         Entry& e = entries_[fingerprint]; // pending, or fresh if the
                                           // entry was abandoned/raced
         waiters.swap(e.waiters);
-        e.snap = std::move(snap);
+        e.snap = std::move(warm);
         e.bytes = warmSnapshotBytes(e.snap);
         e.ready = true;
         e.last_use = ++clock_;

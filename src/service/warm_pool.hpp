@@ -3,11 +3,19 @@
  * WarmPool — the daemon's fingerprint-keyed shared warm-snapshot
  * cache (DESIGN.md §12). The first tenant to finish warmup for a spec
  * publishes its post-warmup SimSession snapshot (pythia-snap-v1
- * bytes, PR 6 codec) together with the warmup record prefix it
- * consumed; every later Open with the same fingerprint restores from
- * the pool and skips warmup bit-exactly — restore replays the stored
- * prefix through a fresh StreamWorkload, so the machine lands in the
+ * bytes) together with the warmup record prefix it consumed; every
+ * later Open with the same fingerprint restores from the pool and
+ * skips warmup bit-exactly — restore replays the stored prefix
+ * through a fresh StreamWorkload, so the machine lands in the
  * identical post-warmup state a cold session would reach.
+ *
+ * Validation happens once, at admission: publish() runs the full
+ * snap::readSnapshotBytes check (magic, version, checksum) over the
+ * leader's image and stores the resulting immutable SnapshotFile. A
+ * hit restores straight from it (SimSession::resumeFromValidated) —
+ * no per-hit copy, no per-hit re-hash; only the fingerprint is
+ * compared per restore. An image that fails admission is never
+ * served: the entry is abandoned and its waiters elect a new leader.
  *
  * Concurrency contract (single-flight): when N identical Opens race,
  * exactly one caller gets Role::kLeader and runs warmup; the rest get
@@ -32,6 +40,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "snapshot/snapshot.hpp"
 #include "workloads/trace.hpp"
 
 namespace pythia::service {
@@ -39,12 +48,12 @@ namespace pythia::service {
 class WarmPool
 {
   public:
-    /** One published warm state: the post-warmup snapshot image plus
-     *  the warmup records the leader consumed producing it. Shared
-     *  immutably — hits alias the same buffers, no copies. */
+    /** One published warm state: the validated post-warmup snapshot
+     *  plus the warmup records the leader consumed producing it.
+     *  Shared immutably — hits alias the same buffers, no copies. */
     struct Snapshot
     {
-        std::shared_ptr<const std::vector<std::uint8_t>> image;
+        std::shared_ptr<const snap::SnapshotFile> image;
         std::shared_ptr<const std::vector<wl::TraceRecord>> prefix;
     };
 
@@ -69,9 +78,17 @@ class WarmPool
     Role acquire(const std::string& fingerprint, Snapshot* out,
                  std::function<void()> on_settled);
 
-    /** Leader completed warmup: make the entry ready, wake waiters,
-     *  then enforce the LRU budget. */
-    void publish(const std::string& fingerprint, Snapshot snap);
+    /**
+     * Leader completed warmup: validate @p image once
+     * (snap::readSnapshotBytes), make the entry ready, wake waiters,
+     * then enforce the LRU budget. The check runs outside the pool
+     * lock. @throws snap::SnapshotError when the image fails it — the
+     * entry is abandoned first, so waiters re-elect a leader and the
+     * image is never served.
+     */
+    void publish(const std::string& fingerprint,
+                 std::vector<std::uint8_t> image,
+                 std::vector<wl::TraceRecord> prefix);
 
     /** Leader failed or was evicted before publishing: drop the
      *  pending entry and wake waiters so one can take over. */

@@ -52,6 +52,8 @@ requireEnd(snap::Reader& r, const char* what)
 
 constexpr std::uint8_t kFlagWrite = 1u << 0;
 constexpr std::uint8_t kFlagDependsOnPrev = 1u << 1;
+/** Encoded access record: u64 pc, u64 addr, u32 gap, u8 flags. */
+constexpr std::size_t kAccessRecordBytes = 8 + 8 + 4 + 1;
 
 } // namespace
 
@@ -66,7 +68,7 @@ encodeHello(const HelloMsg& m)
     w.str(m.tenant);
     harness::writeSpec(w, m.spec);
     w.u64(m.window_instrs);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -81,7 +83,7 @@ encodeHelloAck(const HelloAckMsg& m)
     w.u64(m.windows_completed);
     w.u64(m.records_received);
     w.u64(m.records_consumed);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -101,7 +103,7 @@ encodeAccess(const wl::TraceRecord* records, std::size_t n)
             flags |= kFlagDependsOnPrev;
         w.u8(flags);
     }
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -110,7 +112,7 @@ encodeWindow(const WindowMsg& m)
     snap::Writer w = beginPayload(FrameType::kWindow);
     harness::writeWindowSample(w, m.window);
     w.u64(m.records_consumed);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -120,13 +122,13 @@ encodeRunEnd(const RunEndMsg& m)
     harness::writeRunResult(w, m.final_result);
     w.u64(m.windows_completed);
     w.u64(m.records_consumed);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
 encodeDetach()
 {
-    return beginPayload(FrameType::kDetach).buffer();
+    return beginPayload(FrameType::kDetach).take();
 }
 
 std::vector<std::uint8_t>
@@ -136,13 +138,13 @@ encodeDetachAck(const DetachAckMsg& m)
     w.u64(m.records_received);
     w.u64(m.instrs_advanced);
     w.u64(m.windows_completed);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
 encodeStats()
 {
-    return beginPayload(FrameType::kStats).buffer();
+    return beginPayload(FrameType::kStats).take();
 }
 
 std::vector<std::uint8_t>
@@ -150,7 +152,7 @@ encodeStatsAck(const std::string& json)
 {
     snap::Writer w = beginPayload(FrameType::kStatsAck);
     w.str(json);
-    return w.buffer();
+    return w.take();
 }
 
 std::vector<std::uint8_t>
@@ -159,7 +161,7 @@ encodeError(std::uint32_t kind, const std::string& message)
     snap::Writer w = beginPayload(FrameType::kError);
     w.u32(kind);
     w.str(message);
-    return w.buffer();
+    return w.take();
 }
 
 // ------------------------------------------------------------- decode
@@ -237,25 +239,29 @@ decodeAccess(const std::vector<std::uint8_t>& payload)
         snap::Reader r = bodyReader(payload, FrameType::kAccess);
         const std::uint64_t n = r.u64();
         // Each record is 21 payload bytes; an impossible count is a
-        // malformed frame, not an allocation request.
-        if (n * 21 != r.remaining())
+        // malformed frame, not an allocation request. Divide rather
+        // than multiply: n * 21 wraps for hostile counts.
+        if (n != r.remaining() / kAccessRecordBytes ||
+            r.remaining() % kAccessRecordBytes != 0)
             throw ServeWireError(
                 "serve wire: access frame count/size mismatch (" +
                 std::to_string(n) + " records, " +
                 std::to_string(r.remaining()) + " body bytes)");
         std::vector<wl::TraceRecord> records(
             static_cast<std::size_t>(n));
+        const std::uint8_t* p = r.raw(records.size() * kAccessRecordBytes);
         for (auto& rec : records) {
-            rec.pc = r.u64();
-            rec.addr = r.u64();
-            rec.gap = r.u32();
-            const std::uint8_t flags = r.u8();
+            rec.pc = snap::loadLe<std::uint64_t>(p);
+            rec.addr = snap::loadLe<std::uint64_t>(p + 8);
+            rec.gap = snap::loadLe<std::uint32_t>(p + 16);
+            const std::uint8_t flags = p[20];
             if (flags & ~(kFlagWrite | kFlagDependsOnPrev))
                 throw ServeWireError(
                     "serve wire: access record with unknown flags " +
                     std::to_string(flags));
             rec.is_write = (flags & kFlagWrite) != 0;
             rec.depends_on_prev = (flags & kFlagDependsOnPrev) != 0;
+            p += kAccessRecordBytes;
         }
         requireEnd(r, "access");
         return records;

@@ -361,14 +361,19 @@ Cache::loadState(snap::Reader& r)
             std::to_string(sets) + "x" + std::to_string(ways) +
             " does not match this configuration (" +
             std::to_string(sets_) + "x" + std::to_string(cfg_.ways) + ")");
+    // The block array is fixed-layout (u64 addr, five bool bytes, u64
+    // fill_time per way): bounds-check it once, then decode in place.
+    constexpr std::size_t kBlockBytes = 8 + 5 + 8;
+    const std::uint8_t* p = r.raw(blocks_.size() * kBlockBytes);
     for (Block& b : blocks_) {
-        b.addr = r.u64();
-        b.valid = r.boolean();
-        b.dirty = r.boolean();
-        b.prefetched = r.boolean();
-        b.used = r.boolean();
-        b.reused = r.boolean();
-        b.fill_time = r.u64();
+        b.addr = snap::loadLe<std::uint64_t>(p);
+        b.valid = snap::loadBool(p[8]);
+        b.dirty = snap::loadBool(p[9]);
+        b.prefetched = snap::loadBool(p[10]);
+        b.used = snap::loadBool(p[11]);
+        b.reused = snap::loadBool(p[12]);
+        b.fill_time = snap::loadLe<std::uint64_t>(p + 13);
+        p += kBlockBytes;
     }
     rebuildTags();
     inflight_ = r.vecU64();

@@ -62,7 +62,7 @@ writeSnapshotBytes(const std::string& fingerprint,
     const std::uint64_t checksum =
         fnv1a(w.buffer().data(), w.buffer().size());
     w.u64(checksum);
-    return w.buffer();
+    return w.take();
 }
 
 void
@@ -145,15 +145,8 @@ readSnapshotBytes(std::vector<std::uint8_t> bytes,
 
     // 5. Fingerprint.
     sf.fingerprint = header.str();
-    if (!expected_fingerprint.empty() &&
-        sf.fingerprint != expected_fingerprint) {
-        const std::string diff =
-            diffFingerprints(sf.fingerprint, expected_fingerprint);
-        throw FingerprintError(
-            "snapshot fingerprint mismatch (stale or foreign snapshot, "
-            "refusing to restore): " + path +
-            (diff.empty() ? "" : "\n  " + diff));
-    }
+    if (!expected_fingerprint.empty())
+        requireFingerprint(sf, expected_fingerprint, path);
 
     sf.body_offset = header.position();
     if (payload < sf.body_offset)
@@ -161,6 +154,21 @@ readSnapshotBytes(std::vector<std::uint8_t> bytes,
                            path);
     sf.body_size = payload - sf.body_offset;
     return sf;
+}
+
+void
+requireFingerprint(const SnapshotFile& file,
+                   const std::string& expected_fingerprint,
+                   const std::string& label)
+{
+    if (file.fingerprint == expected_fingerprint)
+        return;
+    const std::string diff =
+        diffFingerprints(file.fingerprint, expected_fingerprint);
+    throw FingerprintError(
+        "snapshot fingerprint mismatch (stale or foreign snapshot, "
+        "refusing to restore): " + label +
+        (diff.empty() ? "" : "\n  " + diff));
 }
 
 std::string

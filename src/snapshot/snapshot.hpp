@@ -53,9 +53,9 @@ void writeSnapshotFile(const std::string& path,
  * Serialize a snapshot into memory: the exact byte sequence
  * writeSnapshotFile() would put on disk (header + fingerprint + body
  * sections + trailing checksum), returned instead of written. The
- * daemon-side warm-snapshot pool (src/service/warm_pool.hpp) holds
- * these images so identical specs skip warmup without touching the
- * filesystem.
+ * daemon-side warm-snapshot pool (src/service/warm_pool.hpp) admits
+ * these images (validated once, by readSnapshotBytes) so identical
+ * specs skip warmup without touching the filesystem.
  */
 std::vector<std::uint8_t>
 writeSnapshotBytes(const std::string& fingerprint,
@@ -97,6 +97,15 @@ SnapshotFile readSnapshotFile(const std::string& path,
 SnapshotFile readSnapshotBytes(std::vector<std::uint8_t> bytes,
                                const std::string& expected_fingerprint,
                                const std::string& label = "<memory>");
+
+/** Throw FingerprintError (with the field diff) unless @p file was
+ *  written under @p expected_fingerprint; @p label names the source.
+ *  readSnapshotFile/readSnapshotBytes apply it when given a non-empty
+ *  expected fingerprint; callers restoring from an image validated
+ *  earlier (the daemon's warm pool) apply it per restore. */
+void requireFingerprint(const SnapshotFile& file,
+                        const std::string& expected_fingerprint,
+                        const std::string& label);
 
 /**
  * Field-wise diff of two "key=value;" fingerprints, e.g.

@@ -44,6 +44,7 @@
 #include "service/warm_pool.hpp"
 #include "service/wire.hpp"
 #include "snapshot/codec.hpp"
+#include "snapshot/snapshot.hpp"
 #include "workloads/suites.hpp"
 #include "workloads/trace.hpp"
 
@@ -120,6 +121,44 @@ specBits(const harness::ExperimentSpec& s)
     snap::Writer w;
     harness::writeSpec(w, s);
     return w.buffer();
+}
+
+/** Multiplicative inverse of odd @p a modulo 2^64 (Newton's method:
+ *  each step doubles the number of correct low bits). */
+std::uint64_t
+inverseMod64(std::uint64_t a)
+{
+    std::uint64_t x = a; // correct to 3 bits for any odd a
+    for (int i = 0; i < 5; ++i)
+        x *= 2 - a * x;
+    return x;
+}
+
+/** A Hello whose spec claims 2^61 mix entries. */
+std::vector<std::uint8_t>
+hostileHello()
+{
+    snap::Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kHello));
+    w.str(kServeSchemaName);
+    w.u32(kServeVersion);
+    w.str("hostile-hello");
+    w.str("470.lbm-164B"); // spec.workload
+    w.u64(1ull << 61);     // spec.mix count
+    w.u64(0);
+    return w.take();
+}
+
+/** An Access frame with one body byte and the count n = 21^-1 mod
+ *  2^64, so that n * 21 wraps around to exactly the body size. */
+std::vector<std::uint8_t>
+wrappedAccess()
+{
+    snap::Writer w;
+    w.u8(static_cast<std::uint8_t>(FrameType::kAccess));
+    w.u64(inverseMod64(21));
+    w.u8(0);
+    return w.take();
 }
 
 /** Bit-exact window-by-window comparison (the determinism rule). */
@@ -356,6 +395,30 @@ TEST_F(ServiceTest, WireAccessRoundTripPreservesFlags)
     EXPECT_TRUE(saw_dep);
 }
 
+TEST_F(ServiceTest, WireAccessBytesArePinned)
+{
+    // The pythia-serve-v1 access frame layout is a wire contract: pin
+    // the encoder's bytes over a fixed batch that covers both flags and
+    // the extreme field values.
+    std::vector<wl::TraceRecord> batch(1000);
+    std::uint64_t x = 0x9E3779B97F4A7C15ull;
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        batch[i].pc = x;
+        batch[i].addr = x >> 7;
+        batch[i].gap = static_cast<std::uint32_t>(x >> 40);
+        batch[i].is_write = (i % 3) == 0;
+        batch[i].depends_on_prev = (i % 5) == 0;
+    }
+    batch[0].pc = ~0ull;
+    batch[0].gap = ~0u;
+    batch[1].addr = 0;
+    const auto payload = encodeAccess(batch.data(), batch.size());
+    ASSERT_EQ(payload.size(), 1u + 8u + 21u * batch.size());
+    EXPECT_EQ(snap::fnv1a(payload.data(), payload.size()),
+              0x4dd0bd956035ff59ull);
+}
+
 TEST_F(ServiceTest, WireRejectsMalformedFrames)
 {
     EXPECT_THROW(frameType({}), ServeWireError);
@@ -387,6 +450,13 @@ TEST_F(ServiceTest, WireRejectsMalformedFrames)
     auto access = encodeAccess(&rec, 1);
     access.back() |= 0x80;
     EXPECT_THROW(decodeAccess(access), ServeWireError);
+}
+
+TEST_F(ServiceTest, WireRejectsHostileCounts)
+{
+    ASSERT_EQ(inverseMod64(21) * 21, 1u);
+    EXPECT_THROW(decodeHello(hostileHello()), ServeWireError);
+    EXPECT_THROW(decodeAccess(wrappedAccess()), ServeWireError);
 }
 
 // --------------------------------------------------------- StreamWorkload
@@ -1034,6 +1104,59 @@ TEST_F(ServiceTest, OversizedFrameLengthRejected)
     EXPECT_EQ(server.stop(), 0);
 }
 
+TEST_F(ServiceTest, HostileCountsGetProtocolErrorAndDaemonKeepsServing)
+{
+    ServeServer server(baseOptions());
+    server.start();
+    const std::string addr = server.boundAddress();
+    constexpr std::uint64_t kWindow = 2000;
+    const auto spec = makeSpec("470.lbm-164B", "pythia");
+
+    // Reads frames until a kError (skipping the HelloAck a valid hello
+    // earns) and checks it is a protocol error followed by EOF.
+    auto expectProtocolError = [](int fd, const std::string& what) {
+        for (;;) {
+            const auto frame = readFrame(fd);
+            ASSERT_TRUE(frame.has_value()) << what << ": EOF, no kError";
+            if (frameType(*frame) == FrameType::kHelloAck)
+                continue;
+            ASSERT_EQ(frameType(*frame), FrameType::kError) << what;
+            EXPECT_EQ(decodeError(*frame).kind, kErrProtocol) << what;
+            EXPECT_FALSE(readFrame(fd).has_value())
+                << what << ": expected EOF after kError";
+            return;
+        }
+    };
+
+    int fd = connectToServe(addr);
+    ASSERT_TRUE(writeFrame(fd, hostileHello()));
+    expectProtocolError(fd, "hello with a 2^61 mix count");
+    ::close(fd);
+
+    fd = connectToServe(addr);
+    HelloMsg hello;
+    hello.tenant = "hostile-access";
+    hello.spec = spec;
+    hello.window_instrs = kWindow;
+    ASSERT_TRUE(writeFrame(fd, encodeHello(hello)));
+    ASSERT_TRUE(writeFrame(fd, wrappedAccess()));
+    expectProtocolError(fd, "access frame with a wrapped count");
+    ::close(fd);
+
+    // The daemon survived both and still serves bit-exact.
+    const auto records = captureRecords(spec);
+    const OfflineRun off = runOffline(spec, kWindow);
+    ServeClient client(addr);
+    client.open("well-formed", spec, kWindow);
+    const auto run = client.streamRun(records);
+    ASSERT_TRUE(run.final_result.has_value());
+    EXPECT_EQ(resultBits(*run.final_result), resultBits(off.final_result));
+    expectSeriesEqual(run.series.samples(), off.series.samples(),
+                      "tenant after hostile frames");
+    EXPECT_GE(server.stats().frames_rejected, 2u);
+    EXPECT_EQ(server.stop(), 0);
+}
+
 // -------------------------------------------------------------- stats
 
 TEST_F(ServiceTest, StatsEndpointAggregatesAcrossTenants)
@@ -1214,24 +1337,29 @@ TEST_F(ServiceTest, OutboxRingShortWritesPreserveFramesAndByteCount)
 
 namespace {
 
-WarmPool::Snapshot
-fakeSnap(std::size_t image_bytes, std::size_t prefix_records)
+/** A valid pythia-snap-v1 image with a @p body_bytes filler body:
+ *  enough to pass the pool's admission check. */
+std::vector<std::uint8_t>
+fakeImage(std::size_t body_bytes)
 {
-    WarmPool::Snapshot s;
-    s.image = std::make_shared<const std::vector<std::uint8_t>>(
-        image_bytes, std::uint8_t{0xab});
-    s.prefix = std::make_shared<const std::vector<wl::TraceRecord>>(
-        prefix_records);
-    return s;
+    const std::vector<std::uint8_t> body(body_bytes, 0xab);
+    return snap::writeSnapshotBytes("fake;", [&](snap::Writer& w) {
+        w.bytes(body.data(), body.size());
+    });
+}
+
+std::vector<wl::TraceRecord>
+fakePrefix(std::size_t records)
+{
+    return std::vector<wl::TraceRecord>(records);
 }
 
 } // namespace
 
 TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
 {
-    const WarmPool::Snapshot proto = fakeSnap(1024, 8);
-    const std::size_t sz = warmSnapshotBytes(proto);
-    ASSERT_GT(sz, 0u);
+    const std::size_t image_bytes = fakeImage(1024).size();
+    const std::size_t sz = image_bytes + 8 * sizeof(wl::TraceRecord);
     WarmPool pool(2 * sz); // room for exactly two ready entries
     ASSERT_TRUE(pool.enabled());
 
@@ -1243,11 +1371,12 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     ASSERT_EQ(pool.acquire("a", &out, [&] { ++woken; }),
               WarmPool::Role::kWaiter);
     EXPECT_EQ(woken, 0);
-    pool.publish("a", fakeSnap(1024, 8));
+    pool.publish("a", fakeImage(1024), fakePrefix(8));
     EXPECT_EQ(woken, 1);
     ASSERT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kHit);
     ASSERT_TRUE(out.image && out.prefix);
-    EXPECT_EQ(out.image->size(), 1024u);
+    EXPECT_EQ(out.image->bytes.size(), image_bytes);
+    EXPECT_EQ(warmSnapshotBytes(out), sz);
     EXPECT_EQ(out.prefix->size(), 8u);
 
     // Abandon wakes waiters too, and the re-acquire takes over as the
@@ -1258,12 +1387,12 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     pool.abandon("b");
     EXPECT_EQ(woken, 2);
     ASSERT_EQ(pool.acquire("b", &out, {}), WarmPool::Role::kLeader);
-    pool.publish("b", fakeSnap(1024, 8));
+    pool.publish("b", fakeImage(1024), fakePrefix(8));
 
     // LRU: touch "a" so "b" is the eviction victim when "c" lands.
     ASSERT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kHit);
     ASSERT_EQ(pool.acquire("c", &out, {}), WarmPool::Role::kLeader);
-    pool.publish("c", fakeSnap(1024, 8));
+    pool.publish("c", fakeImage(1024), fakePrefix(8));
     EXPECT_EQ(pool.acquire("b", &out, {}), WarmPool::Role::kLeader)
         << "LRU should have evicted b, the least recently used entry";
     pool.abandon("b");
@@ -1280,8 +1409,71 @@ TEST_F(ServiceTest, WarmPoolSingleFlightPublishAbandonAndLru)
     WarmPool off(0);
     EXPECT_FALSE(off.enabled());
     EXPECT_EQ(off.acquire("a", &out, {}), WarmPool::Role::kLeader);
-    off.publish("a", fakeSnap(64, 1));
+    off.publish("a", fakeImage(64), fakePrefix(1));
     EXPECT_EQ(off.acquire("a", &out, {}), WarmPool::Role::kLeader);
+}
+
+TEST_F(ServiceTest, WarmPoolNeverServesACorruptImage)
+{
+    // Admission validates each image once; one that fails (a flipped
+    // byte: checksum mismatch) is abandoned, its waiters are woken to
+    // re-elect a leader, and the next acquire leads instead of hitting.
+    WarmPool pool(64u << 20);
+    WarmPool::Snapshot out;
+    int woken = 0;
+    ASSERT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kLeader);
+    ASSERT_EQ(pool.acquire("a", &out, [&] { ++woken; }),
+              WarmPool::Role::kWaiter);
+    auto image = fakeImage(1024);
+    image[image.size() / 2] ^= 0x01;
+    EXPECT_THROW(pool.publish("a", std::move(image), fakePrefix(8)),
+                 snap::CorruptError);
+    EXPECT_EQ(woken, 1) << "waiters must be woken to re-elect a leader";
+    EXPECT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kLeader)
+        << "a corrupt image must never be served";
+    EXPECT_FALSE(out.image);
+    EXPECT_EQ(pool.stats().inserts, 0u);
+    EXPECT_EQ(pool.stats().bytes, 0u);
+
+    // The new leader's clean image is admitted and served.
+    pool.publish("a", fakeImage(1024), fakePrefix(8));
+    EXPECT_EQ(pool.acquire("a", &out, {}), WarmPool::Role::kHit);
+    ASSERT_TRUE(out.image);
+    EXPECT_EQ(out.image->fingerprint, "fake;");
+}
+
+TEST_F(ServiceTest, WarmPoolHitWithForeignFingerprintFailsTyped)
+{
+    // Admission checks integrity; the fingerprint is compared on every
+    // hit. Plant a valid image of another spec under this spec's key:
+    // the hit must refuse it with kErrResume, not restore it.
+    auto opt = baseOptions();
+    opt.warm_pool_bytes = 64u << 20;
+    ServeServer server(opt);
+    server.start();
+    const auto spec = makeSpec("470.lbm-164B", "pythia");
+    auto foreign = spec;
+    foreign.prefetcher = "spp";
+    harness::SimSession other(foreign);
+    other.runWarmup();
+
+    WarmPool& pool = server.warmPool();
+    const std::string fp = harness::fingerprintFor(spec);
+    ASSERT_EQ(pool.acquire(fp, nullptr, {}), WarmPool::Role::kLeader);
+    pool.publish(fp, other.snapshotBytes(), captureRecords(spec));
+
+    ServeClient client(server.boundAddress());
+    try {
+        client.open("foreign", spec, 2000);
+        FAIL() << "a foreign pooled image was restored";
+    } catch (const ServeRemoteError& e) {
+        EXPECT_EQ(e.kind(), kErrResume);
+        EXPECT_NE(std::string(e.what()).find("fingerprint"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(server.stats().warm_hits, 1u);
+    EXPECT_EQ(server.stop(), 0);
 }
 
 TEST_F(ServiceTest, WarmPoolHitRestoresBitExact)

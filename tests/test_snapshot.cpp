@@ -19,7 +19,9 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -219,6 +221,43 @@ TEST(SnapCodec, TruncatedBufferThrows)
     w.u32(7);
     snap::Reader r(w.buffer().data(), 2); // half the u32
     EXPECT_THROW((void)r.u32(), snap::CorruptError);
+}
+
+TEST(SnapCodec, HostileCountsAreCorruptNotAllocations)
+{
+    // Length prefixes come from files and sockets. Counts whose byte
+    // size wraps 64 bits (or merely exceeds the buffer) must surface
+    // as CorruptError before any allocation — never std::length_error
+    // or bad_alloc out of a vector constructor.
+    const std::uint64_t counts[] = {1ull << 61, (1ull << 61) + 1,
+                                    1ull << 62, ~0ull};
+    using Read = std::function<void(snap::Reader&)>;
+    const std::pair<const char*, Read> readers[] = {
+        {"str", [](snap::Reader& r) { (void)r.str(); }},
+        {"vecU8", [](snap::Reader& r) { (void)r.vecU8(); }},
+        {"vecU32", [](snap::Reader& r) { (void)r.vecU32(); }},
+        {"vecU64", [](snap::Reader& r) { (void)r.vecU64(); }},
+        {"vecF32", [](snap::Reader& r) { (void)r.vecF32(); }},
+        {"vecF64", [](snap::Reader& r) { (void)r.vecF64(); }},
+        {"count(21)", [](snap::Reader& r) { (void)r.count(21); }},
+    };
+    for (const std::uint64_t n : counts)
+        for (const auto& [name, read] : readers) {
+            snap::Writer w;
+            w.u64(n);
+            w.u64(0); // a little body, far short of n elements
+            snap::Reader r(w.buffer().data(), w.size());
+            EXPECT_THROW(read(r), snap::CorruptError)
+                << name << " with count " << n;
+        }
+
+    // The bound is exact: a count that fills the rest is accepted.
+    snap::Writer w;
+    w.u64(2);
+    w.u64(7);
+    w.u64(9);
+    snap::Reader r(w.buffer().data(), w.size());
+    EXPECT_EQ(r.vecU64(), (std::vector<std::uint64_t>{7, 9}));
 }
 
 TEST(SnapCodec, UnclosedSectionIsALogicError)
@@ -525,6 +564,36 @@ TEST(SnapSession, PrefetcherWithoutSerializationIsUnsupportedError)
                   std::string::npos)
             << e.what();
     }
+}
+
+// ------------------------------------------------------------ byte pins
+
+/** FNV-1a 64 of the post-warmup snapshotBytes() image of @p spec. */
+std::uint64_t
+warmImageDigest(const harness::ExperimentSpec& spec)
+{
+    harness::SimSession session(spec);
+    session.runWarmup();
+    const std::vector<std::uint8_t> image = session.snapshotBytes();
+    return snap::fnv1a(image.data(), image.size());
+}
+
+// pythia-snap-v1 is an on-disk format: a codec change (word-at-a-time
+// loads and stores, bulk vector copies) must not move a single byte.
+// These digests were taken from the byte-at-a-time codec; they change
+// only with a deliberate format or model change.
+TEST(SnapBytes, PostWarmupImageDigestsArePinned)
+{
+    EXPECT_EQ(warmImageDigest(smallPythiaSpec()), 0x0eee9201b4294282ull)
+        << "1-core pythia image bytes moved";
+    EXPECT_EQ(warmImageDigest(harness::Experiment("PARSEC-Canneal")
+                                  .l2("spp")
+                                  .cores(4)
+                                  .warmup(10'000)
+                                  .measure(20'000)
+                                  .spec()),
+              0xa6070d78b720e99cull)
+        << "4-core spp image bytes moved";
 }
 
 // ----------------------------------------------------------- warm cache
