@@ -15,7 +15,7 @@
  *     # ... SIGKILL it halfway ...
  *     sharded_sweep workers=4 journal=/tmp/demo.journal   # resumes
  *
- * Usage: sharded_sweep [workers=<n>] [journal=<path>] [steal=0|1]
+ * Usage: sharded_sweep [workers=<n>] [journal=<path>]
  */
 #include <iostream>
 
@@ -30,13 +30,12 @@ main(int argc, char** argv)
     Config cli;
     harness::ShardOptions opt;
     try {
-        cli.parseArgsStrict(argc, argv, {"workers", "journal", "steal"});
+        cli.parseArgsStrict(argc, argv, {"workers", "journal"});
         const std::int64_t n = cli.getInt("workers", 2);
         if (n < 1)
             throw std::invalid_argument("workers must be >= 1");
         opt.workers = static_cast<unsigned>(n);
         opt.journal_path = cli.getString("journal", "");
-        opt.steal = cli.getBool("steal", true);
     } catch (const std::exception& e) {
         std::cerr << "sharded_sweep: " << e.what() << "\n";
         return 2;

@@ -29,6 +29,61 @@ streamSeries(SimSession session,
     return series;
 }
 
+/** The no-prefetching baseline of @p spec: same machine and workload,
+ *  no prefetcher at either level. */
+ExperimentSpec
+baselineOf(const ExperimentSpec& spec)
+{
+    ExperimentSpec base = spec;
+    base.prefetcher = "none";
+    base.l1_prefetcher = "none";
+    base.pythia_cfg.reset();
+    return base;
+}
+
+bool
+isBaseline(const ExperimentSpec& spec)
+{
+    return spec.prefetcher == "none" && spec.l1_prefetcher == "none";
+}
+
+/**
+ * Per-key once-semantics over @p cache: exactly one thread claims
+ * @p key and runs @p compute outside @p mutex; everyone else waits on
+ * the shared future. A failed compute propagates its exception to
+ * every waiter (the spec is deterministic, so a retry would throw the
+ * same way).
+ */
+template <class T, class Compute>
+T
+computeOnce(std::mutex& mutex,
+            std::map<std::string, std::shared_future<T>>& cache,
+            const std::string& key, Compute compute)
+{
+    std::shared_future<T> future;
+    std::promise<T> promise;
+    bool owner = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex);
+        auto it = cache.find(key);
+        if (it == cache.end()) {
+            future = promise.get_future().share();
+            cache.emplace(key, future);
+            owner = true;
+        } else {
+            future = it->second;
+        }
+    }
+    if (owner) {
+        try {
+            promise.set_value(compute());
+        } catch (...) {
+            promise.set_exception(std::current_exception());
+        }
+    }
+    return future.get();
+}
+
 /** Cache file for a fingerprint: warm-<fnv1a hex>.snap in @p dir. */
 std::string
 warmCachePath(const std::string& dir, const std::string& fingerprint)
@@ -182,44 +237,12 @@ Runner::openWarmSession(const ExperimentSpec& spec)
 Runner::Outcome
 Runner::evaluate(const ExperimentSpec& spec)
 {
-    const std::string key = baselineKey(spec);
-
-    // Per-key once-semantics: exactly one thread claims the key and
-    // simulates the baseline outside the lock; everyone else waits on
-    // the shared future. A failed baseline propagates its exception to
-    // every waiter (the spec is deterministic, so a retry would throw
-    // the same way).
-    std::shared_future<sim::RunResult> future;
-    std::promise<sim::RunResult> promise;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = baselines_.find(key);
-        if (it == baselines_.end()) {
-            future = promise.get_future().share();
-            baselines_.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (owner) {
-        try {
-            ExperimentSpec base = spec;
-            base.prefetcher = "none";
-            base.l1_prefetcher = "none";
-            base.pythia_cfg.reset();
-            promise.set_value(openWarmSession(base).runToCompletion());
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
-
     Outcome out;
-    out.baseline = future.get();
-    out.run = (spec.prefetcher == "none" && spec.l1_prefetcher == "none")
-                  ? out.baseline
-                  : openWarmSession(spec).runToCompletion();
+    out.baseline = computeOnce(mutex_, baselines_, baselineKey(spec), [&] {
+        return openWarmSession(baselineOf(spec)).runToCompletion();
+    });
+    out.run = isBaseline(spec) ? out.baseline
+                               : openWarmSession(spec).runToCompletion();
     out.metrics = computeMetrics(out.run, out.baseline);
     return out;
 }
@@ -252,39 +275,14 @@ Runner::evaluateWindowed(const ExperimentSpec& spec,
     key_os << baselineKey(spec);
     for (std::uint64_t end : window_ends)
         key_os << '\x1f' << end;
-    const std::string key = key_os.str();
-
-    // Same per-key once-semantics as the batch baseline cache.
-    std::shared_future<TimeSeries> future;
-    std::promise<TimeSeries> promise;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = windowed_baselines_.find(key);
-        if (it == windowed_baselines_.end()) {
-            future = promise.get_future().share();
-            windowed_baselines_.emplace(key, future);
-            owner = true;
-        } else {
-            future = it->second;
-        }
-    }
-    if (owner) {
-        try {
-            ExperimentSpec base = spec;
-            base.prefetcher = "none";
-            base.l1_prefetcher = "none";
-            base.pythia_cfg.reset();
-            promise.set_value(
-                streamSeries(openWarmSession(base), window_ends));
-        } catch (...) {
-            promise.set_exception(std::current_exception());
-        }
-    }
 
     WindowedOutcome out;
-    out.baseline = future.get();
-    out.run = (spec.prefetcher == "none" && spec.l1_prefetcher == "none")
+    out.baseline =
+        computeOnce(mutex_, windowed_baselines_, key_os.str(), [&] {
+            return streamSeries(openWarmSession(baselineOf(spec)),
+                                window_ends);
+        });
+    out.run = isBaseline(spec)
                   ? out.baseline
                   : streamSeries(openWarmSession(spec), window_ends);
     out.final.run = out.run.finalResult();

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/table.hpp"
 #include "harness/runner.hpp"
 #include "sim/prefetcher_registry.hpp"
 #include "snapshot/snapshot.hpp"
@@ -29,12 +28,6 @@ buildPrefetcher(const std::string& spec,
         return std::make_unique<rl::PythiaPrefetcher>(*custom);
     }
     return sim::makePrefetcher(spec);
-}
-
-std::uint64_t
-at(const std::vector<std::uint64_t>& v, std::size_t i)
-{
-    return i < v.size() ? v[i] : 0;
 }
 
 /** Stable hash of an explicit PythiaConfig: every field that changes
@@ -70,17 +63,12 @@ writeRunResult(snap::Writer& w, const sim::RunResult& r)
 {
     w.vecF64(r.ipc);
     w.f64(r.ipc_geomean);
-    w.u64(r.instructions);
-    w.u64(r.llc_demand_load_misses);
-    w.u64(r.llc_read_misses);
-    w.u64(r.prefetch_issued);
-    w.u64(r.prefetch_useful);
-    w.u64(r.prefetch_useless);
-    w.u64(r.prefetch_late);
+    for (const sim::RunCounter& c : sim::kRunCounters)
+        w.u64(r.*c.field);
     w.vecF64(r.dram_buckets);
     w.f64(r.dram_utilization);
-    w.vecU64(r.core_cycles);
-    w.vecU64(r.dram_bucket_epochs);
+    for (auto v : sim::kRunCounterVectors)
+        w.vecU64(r.*v);
 }
 
 sim::RunResult
@@ -89,17 +77,12 @@ readRunResult(snap::Reader& r)
     sim::RunResult res;
     res.ipc = r.vecF64();
     res.ipc_geomean = r.f64();
-    res.instructions = r.u64();
-    res.llc_demand_load_misses = r.u64();
-    res.llc_read_misses = r.u64();
-    res.prefetch_issued = r.u64();
-    res.prefetch_useful = r.u64();
-    res.prefetch_useless = r.u64();
-    res.prefetch_late = r.u64();
+    for (const sim::RunCounter& c : sim::kRunCounters)
+        res.*c.field = r.u64();
     res.dram_buckets = r.vecF64();
     res.dram_utilization = r.f64();
-    res.core_cycles = r.vecU64();
-    res.dram_bucket_epochs = r.vecU64();
+    for (auto v : sim::kRunCounterVectors)
+        res.*v = r.vecU64();
     return res;
 }
 
@@ -159,95 +142,37 @@ sim::RunResult
 windowDelta(const sim::RunResult& now, const sim::RunResult& prev)
 {
     sim::RunResult d;
-    d.instructions = now.instructions - prev.instructions;
-    d.llc_demand_load_misses =
-        now.llc_demand_load_misses - prev.llc_demand_load_misses;
-    d.llc_read_misses = now.llc_read_misses - prev.llc_read_misses;
-    d.prefetch_issued = now.prefetch_issued - prev.prefetch_issued;
-    d.prefetch_useful = now.prefetch_useful - prev.prefetch_useful;
-    d.prefetch_useless = now.prefetch_useless - prev.prefetch_useless;
-    d.prefetch_late = now.prefetch_late - prev.prefetch_late;
-
-    const std::size_t cores = now.core_cycles.size();
-    d.core_cycles.resize(cores);
-    d.ipc.resize(cores);
-    std::vector<double> ipcs;
-    ipcs.reserve(cores);
-    for (std::size_t c = 0; c < cores; ++c) {
-        d.core_cycles[c] = now.core_cycles[c] - at(prev.core_cycles, c);
-        const double cycles = static_cast<double>(d.core_cycles[c]);
-        const double ipc =
-            cycles > 0 ? static_cast<double>(d.instructions) / cycles
-                       : 0.0;
-        d.ipc[c] = ipc;
-        ipcs.push_back(std::max(ipc, 1e-9));
+    for (const sim::RunCounter& c : sim::kRunCounters)
+        d.*c.field = now.*c.field - prev.*c.field;
+    for (auto v : sim::kRunCounterVectors) {
+        // prev may be shorter (or empty ≙ all zero).
+        const std::vector<std::uint64_t>& was = prev.*v;
+        std::vector<std::uint64_t>& diff = d.*v = now.*v;
+        for (std::size_t i = 0; i < std::min(diff.size(), was.size()); ++i)
+            diff[i] -= was[i];
     }
-    d.ipc_geomean = cores > 0 ? geomean(ipcs) : 0.0;
-
-    const std::size_t buckets = now.dram_bucket_epochs.size();
-    d.dram_bucket_epochs.resize(buckets);
-    std::uint64_t total_epochs = 0;
-    for (std::size_t b = 0; b < buckets; ++b) {
-        d.dram_bucket_epochs[b] =
-            now.dram_bucket_epochs[b] - at(prev.dram_bucket_epochs, b);
-        total_epochs += d.dram_bucket_epochs[b];
-    }
-    d.dram_buckets.assign(buckets, 0.0);
-    if (total_epochs > 0)
-        for (std::size_t b = 0; b < buckets; ++b)
-            d.dram_buckets[b] =
-                static_cast<double>(d.dram_bucket_epochs[b]) /
-                static_cast<double>(total_epochs);
     // The utilization EWMA is a point sample, not a counter: a delta
     // carries the reading at its own window end.
     d.dram_utilization = now.dram_utilization;
+    d.derive();
     return d;
 }
 
 void
 accumulateDelta(sim::RunResult& acc, const sim::RunResult& delta)
 {
-    acc.instructions += delta.instructions;
-    acc.llc_demand_load_misses += delta.llc_demand_load_misses;
-    acc.llc_read_misses += delta.llc_read_misses;
-    acc.prefetch_issued += delta.prefetch_issued;
-    acc.prefetch_useful += delta.prefetch_useful;
-    acc.prefetch_useless += delta.prefetch_useless;
-    acc.prefetch_late += delta.prefetch_late;
-
-    const std::size_t cores = delta.core_cycles.size();
-    acc.core_cycles.resize(std::max(acc.core_cycles.size(), cores), 0);
-    for (std::size_t c = 0; c < cores; ++c)
-        acc.core_cycles[c] += delta.core_cycles[c];
-    acc.ipc.assign(acc.core_cycles.size(), 0.0);
-    std::vector<double> ipcs;
-    ipcs.reserve(acc.core_cycles.size());
-    for (std::size_t c = 0; c < acc.core_cycles.size(); ++c) {
-        const double cycles = static_cast<double>(acc.core_cycles[c]);
-        const double ipc =
-            cycles > 0 ? static_cast<double>(acc.instructions) / cycles
-                       : 0.0;
-        acc.ipc[c] = ipc;
-        ipcs.push_back(std::max(ipc, 1e-9));
+    for (const sim::RunCounter& c : sim::kRunCounters)
+        acc.*c.field += delta.*c.field;
+    for (auto v : sim::kRunCounterVectors) {
+        const std::vector<std::uint64_t>& add = delta.*v;
+        std::vector<std::uint64_t>& sum = acc.*v;
+        if (sum.size() < add.size())
+            sum.resize(add.size(), 0);
+        for (std::size_t i = 0; i < add.size(); ++i)
+            sum[i] += add[i];
     }
-    acc.ipc_geomean = acc.core_cycles.empty() ? 0.0 : geomean(ipcs);
-
-    const std::size_t buckets = delta.dram_bucket_epochs.size();
-    acc.dram_bucket_epochs.resize(
-        std::max(acc.dram_bucket_epochs.size(), buckets), 0);
-    std::uint64_t total_epochs = 0;
-    for (std::size_t b = 0; b < acc.dram_bucket_epochs.size(); ++b) {
-        if (b < buckets)
-            acc.dram_bucket_epochs[b] += delta.dram_bucket_epochs[b];
-        total_epochs += acc.dram_bucket_epochs[b];
-    }
-    acc.dram_buckets.assign(acc.dram_bucket_epochs.size(), 0.0);
-    if (total_epochs > 0)
-        for (std::size_t b = 0; b < acc.dram_bucket_epochs.size(); ++b)
-            acc.dram_buckets[b] =
-                static_cast<double>(acc.dram_bucket_epochs[b]) /
-                static_cast<double>(total_epochs);
     acc.dram_utilization = delta.dram_utilization;
+    acc.derive();
 }
 
 sim::RunResult

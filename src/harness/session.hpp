@@ -127,12 +127,13 @@ class SessionObserver
  * Window algebra over RunResults.
  *
  * windowDelta(now, prev) subtracts two cumulative snapshots of the same
- * measurement (prev may be empty ≙ all zero) and recomputes the derived
- * fields (per-core IPC, geomean, bucket fractions) from the subtracted
- * raw counts. accumulateDelta folds one delta into an accumulator;
- * composeDeltas folds a whole partition. Composing the deltas of any
- * window partition of a session reproduces its cumulative RunResult
- * bit-exactly.
+ * measurement counter by counter (sim::kRunCounters and
+ * sim::kRunCounterVectors; prev may be empty ≙ all zero), takes
+ * now's dram_utilization point sample, and recomputes the derived
+ * fields with RunResult::derive(). accumulateDelta adds one delta into
+ * an accumulator the same way; composeDeltas folds a whole partition.
+ * Composing the deltas of any window partition of a session reproduces
+ * its cumulative RunResult bit-exactly.
  */
 sim::RunResult windowDelta(const sim::RunResult& now,
                            const sim::RunResult& prev);

@@ -863,29 +863,31 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
             ::_exit(137); // simulated SIGKILL after the flush
     };
 
+    // Send @p job to @p wk; false when the worker died between poll
+    // rounds (the death handler will requeue and respawn).
+    const auto sendJob = [&](WorkerSlot& wk, std::size_t job) {
+        snap::Writer w;
+        w.u8(kFrameJob);
+        w.u64(job);
+        writeSpec(w, sweep.specs_[job]);
+        if (!writeFrame(wk.to_fd, w.buffer()))
+            return false;
+        wk.job = job;
+        wk.dispatched_at = std::chrono::steady_clock::now();
+        ++st.inflight[job];
+        return true;
+    };
+
     const auto dispatch = [&](WorkerSlot& wk) {
         while (!st.pending.empty()) {
             const std::size_t job = st.pending.front();
             st.pending.pop_front();
             if (st.have[job] || st.errors.count(job))
                 continue; // completed by a stolen duplicate meanwhile
-            snap::Writer w;
-            w.u8(kFrameJob);
-            w.u64(job);
-            writeSpec(w, sweep.specs_[job]);
-            if (!writeFrame(wk.to_fd, w.buffer())) {
-                // Worker died between poll rounds; the death handler
-                // will requeue and respawn. Put the job back first.
-                st.pending.push_front(job);
-                return;
-            }
-            wk.job = job;
-            wk.dispatched_at = std::chrono::steady_clock::now();
-            ++st.inflight[job];
+            if (!sendJob(wk, job))
+                st.pending.push_front(job); // back in line for a live worker
             return;
         }
-        if (!opt_.steal)
-            return;
         // Work stealing: the pending queue is dry but stragglers still
         // hold jobs — speculatively re-dispatch the longest-in-flight
         // incomplete job (at most one duplicate per job; first result
@@ -905,18 +907,8 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
                 victim = job;
             }
         }
-        if (victim == st.n)
-            return;
-        snap::Writer w;
-        w.u8(kFrameJob);
-        w.u64(victim);
-        writeSpec(w, sweep.specs_[victim]);
-        if (!writeFrame(wk.to_fd, w.buffer()))
-            return;
-        wk.job = victim;
-        wk.dispatched_at = std::chrono::steady_clock::now();
-        ++st.inflight[victim];
-        ++report_.stolen_jobs;
+        if (victim != st.n && sendJob(wk, victim))
+            ++report_.stolen_jobs;
     };
 
     // Parse every complete frame in a worker's accumulator.
@@ -1107,17 +1099,7 @@ ShardCoordinator::run(Runner& runner, const Sweep& sweep)
         *opt_.report_os << line << std::flush;
     }
 
-    // Ordered replay: declaration order, coordinator thread — the same
-    // contract as ParallelRunner, so tables and CSVs are byte-identical
-    // whatever the topology.
-    for (const Sweep::Action& a : sweep.actions_) {
-        if (a.is_job) {
-            if (a.on_job)
-                a.on_job(st.results[a.job]);
-        } else if (a.plain) {
-            a.plain();
-        }
-    }
+    sweep.replay(st.results);
     return st.results;
 }
 

@@ -231,10 +231,6 @@ struct ShardOptions
      *  (DESIGN.md §9); empty = cold runs. */
     std::string snapshot_dir;
 
-    /** Speculatively re-dispatch in-flight stragglers to idle workers
-     *  once the pending queue drains (first result wins). */
-    bool steal = true;
-
     /** Times one job may see its worker die before the sweep fails. */
     unsigned max_job_restarts = 3;
 

@@ -122,6 +122,12 @@ class Sweep
     friend class ParallelRunner;
     friend class ShardCoordinator;
 
+    /** Run every job callback (with its outcome from @p results,
+     *  indexed by JobId) and every then() action in declaration order
+     *  on the calling thread — the executors' shared replay, which is
+     *  what keeps tables and CSVs byte-identical at any topology. */
+    void replay(const std::vector<Runner::Outcome>& results) const;
+
     /** One step of the ordered replay: a job's callback or a then(). */
     struct Action
     {

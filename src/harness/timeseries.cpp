@@ -5,6 +5,8 @@
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
+#include <string>
+#include <type_traits>
 
 namespace pythia::harness {
 
@@ -56,30 +58,77 @@ TimeSeries::composeRange(std::uint64_t instrs_begin,
         ") does not align with recorded window boundaries");
 }
 
+namespace {
+
+/**
+ * The one column list behind csvHeader(), csvRow() and writeJson():
+ * calls @p emit(name, value) once per column, in order, with value a
+ * std::uint64_t (integer column) or a double.
+ */
+template <class Emit>
+void
+forEachColumn(const WindowSample& w, Emit&& emit)
+{
+    emit("window", static_cast<std::uint64_t>(w.index));
+    emit("instrs_begin", w.instrs_begin);
+    emit("instrs_end", w.instrs_end);
+    emit("ipc_geomean", w.delta.ipc_geomean);
+    emit("cum_ipc_geomean", w.cumulative.ipc_geomean);
+    // Every window counter but instructions, which is
+    // instrs_end - instrs_begin.
+    for (const sim::RunCounter& c : sim::kRunCounters)
+        if (c.field != &sim::RunResult::instructions)
+            emit(c.name, w.delta.*c.field);
+    emit("accuracy", w.delta.accuracy());
+    emit("cum_accuracy", w.cumulative.accuracy());
+    emit("dram_utilization", w.delta.dram_utilization);
+}
+
+/** One sample's columns joined by @p sep, each as `"name": value` when
+ *  @p named or as the bare value otherwise; doubles printed with %g at
+ *  @p digits significant digits, integers in full. */
+std::string
+formatColumns(const WindowSample& w, int digits, const char* sep,
+              bool named)
+{
+    std::string out;
+    forEachColumn(w, [&](const char* name, auto v) {
+        if (!out.empty())
+            out += sep;
+        if (named)
+            out.append("\"").append(name).append("\": ");
+        char buf[64];
+        if constexpr (std::is_same_v<decltype(v), double>)
+            std::snprintf(buf, sizeof buf, "%.*g", digits, v);
+        else
+            std::snprintf(buf, sizeof buf, "%" PRIu64, v);
+        out += buf;
+    });
+    return out;
+}
+
+} // namespace
+
 const char*
 TimeSeries::csvHeader()
 {
-    return "window,instrs_begin,instrs_end,ipc_geomean,cum_ipc_geomean,"
-           "llc_demand_load_misses,llc_read_misses,prefetch_issued,"
-           "prefetch_useful,prefetch_useless,prefetch_late,accuracy,"
-           "cum_accuracy,dram_utilization";
+    static const std::string header = [] {
+        std::string h;
+        const char* sep = "";
+        forEachColumn(WindowSample{}, [&](const char* name, auto) {
+            h += sep;
+            h += name;
+            sep = ",";
+        });
+        return h;
+    }();
+    return header.c_str();
 }
 
 std::string
 TimeSeries::csvRow(const WindowSample& w)
 {
-    char buf[512];
-    std::snprintf(
-        buf, sizeof buf,
-        "%zu,%" PRIu64 ",%" PRIu64 ",%.6g,%.6g,%" PRIu64 ",%" PRIu64
-        ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%.6g,%.6g,%.6g",
-        w.index, w.instrs_begin, w.instrs_end, w.delta.ipc_geomean,
-        w.cumulative.ipc_geomean, w.delta.llc_demand_load_misses,
-        w.delta.llc_read_misses, w.delta.prefetch_issued,
-        w.delta.prefetch_useful, w.delta.prefetch_useless,
-        w.delta.prefetch_late, w.delta.accuracy(),
-        w.cumulative.accuracy(), w.delta.dram_utilization);
-    return buf;
+    return formatColumns(w, 6, ",", false);
 }
 
 void
@@ -104,31 +153,9 @@ void
 TimeSeries::writeJson(std::ostream& os) const
 {
     os << "{\n  \"schema\": \"pythia-timeseries-v1\",\n  \"windows\": [";
-    for (std::size_t i = 0; i < samples_.size(); ++i) {
-        const WindowSample& w = samples_[i];
-        char buf[640];
-        std::snprintf(
-            buf, sizeof buf,
-            "%s\n    {\"window\": %zu, \"instrs_begin\": %" PRIu64
-            ", \"instrs_end\": %" PRIu64
-            ", \"ipc_geomean\": %.9g, \"cum_ipc_geomean\": %.9g"
-            ", \"llc_demand_load_misses\": %" PRIu64
-            ", \"llc_read_misses\": %" PRIu64
-            ", \"prefetch_issued\": %" PRIu64
-            ", \"prefetch_useful\": %" PRIu64
-            ", \"prefetch_useless\": %" PRIu64
-            ", \"prefetch_late\": %" PRIu64
-            ", \"accuracy\": %.9g, \"cum_accuracy\": %.9g"
-            ", \"dram_utilization\": %.9g}",
-            i > 0 ? "," : "", w.index, w.instrs_begin, w.instrs_end,
-            w.delta.ipc_geomean, w.cumulative.ipc_geomean,
-            w.delta.llc_demand_load_misses, w.delta.llc_read_misses,
-            w.delta.prefetch_issued, w.delta.prefetch_useful,
-            w.delta.prefetch_useless, w.delta.prefetch_late,
-            w.delta.accuracy(), w.cumulative.accuracy(),
-            w.delta.dram_utilization);
-        os << buf;
-    }
+    for (std::size_t i = 0; i < samples_.size(); ++i)
+        os << (i > 0 ? ",\n    {" : "\n    {")
+           << formatColumns(samples_[i], 9, ", ", true) << '}';
     os << "\n  ]\n}\n";
 }
 

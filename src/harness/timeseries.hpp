@@ -19,6 +19,11 @@
  * harness/session.hpp), which is how bench_fig23_warmup derives every
  * warmup point from ONE streamed session.
  *
+ * The columns are listed once (forEachColumn in timeseries.cpp): the
+ * CSV header, the CSV rows (%.6g doubles) and the JSON records (%.9g)
+ * are generated from that list, and every sim::kRunCounters counter
+ * but instructions appears as a per-window column.
+ *
  * JSON schema "pythia-timeseries-v1":
  *
  *     {

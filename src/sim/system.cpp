@@ -38,6 +38,29 @@ SystemConfig::applyPaperChannelScaling()
     dram.ranks_per_channel = (num_cores <= 2) ? 1 : 2;
 }
 
+void
+RunResult::derive()
+{
+    ipc.assign(core_cycles.size(), 0.0);
+    std::vector<double> floored(core_cycles.size());
+    for (std::size_t c = 0; c < core_cycles.size(); ++c) {
+        const double cycles = static_cast<double>(core_cycles[c]);
+        ipc[c] = cycles > 0 ? static_cast<double>(instructions) / cycles
+                            : 0.0;
+        floored[c] = std::max(ipc[c], 1e-9);
+    }
+    ipc_geomean = geomean(floored);
+
+    std::uint64_t total = 0;
+    for (std::uint64_t e : dram_bucket_epochs)
+        total += e;
+    dram_buckets.assign(dram_bucket_epochs.size(), 0.0);
+    if (total > 0)
+        for (std::size_t b = 0; b < dram_buckets.size(); ++b)
+            dram_buckets[b] = static_cast<double>(dram_bucket_epochs[b]) /
+                              static_cast<double>(total);
+}
+
 double
 RunResult::accuracy() const
 {
@@ -216,43 +239,24 @@ System::collectResult() const
     assert(measuring_);
     RunResult res;
     res.instructions = measured_instrs_;
-    res.core_cycles = measured_cycles_;
-    std::vector<double> ipcs;
-    for (std::uint32_t c = 0; c < cfg_.num_cores; ++c) {
-        const double cycles = static_cast<double>(measured_cycles_[c]);
-        const double ipc =
-            cycles > 0 ? static_cast<double>(measured_instrs_) / cycles
-                       : 0.0;
-        res.ipc.push_back(ipc);
-        ipcs.push_back(std::max(ipc, 1e-9));
-    }
-    res.ipc_geomean = geomean(ipcs);
-
     res.llc_demand_load_misses = llc_->stats().counter("demand_load_miss");
     res.llc_read_misses = llc_->stats().counter("read_miss_total");
-    for (auto& c : l2_) {
-        res.prefetch_issued += c->stats().counter("prefetch_issued") +
-                               c->stats().counter(
-                                   "prefetch_issued_next_level");
-        res.prefetch_useful +=
-            c->stats().counter("prefetch_useful_timely") +
-            c->stats().counter("prefetch_useful_late");
-        res.prefetch_late += c->stats().counter("prefetch_useful_late");
-        res.prefetch_useless += c->stats().counter("prefetch_useless");
+    for (const auto* level : {&l2_, &l1_}) {
+        for (const auto& cache : *level) {
+            const StatGroup& s = cache->stats();
+            const std::uint64_t late = s.counter("prefetch_useful_late");
+            res.prefetch_issued += s.counter("prefetch_issued") +
+                                   s.counter("prefetch_issued_next_level");
+            res.prefetch_useful += s.counter("prefetch_useful_timely") +
+                                   late;
+            res.prefetch_late += late;
+            res.prefetch_useless += s.counter("prefetch_useless");
+        }
     }
-    for (auto& c : l1_) {
-        res.prefetch_issued += c->stats().counter("prefetch_issued") +
-                               c->stats().counter(
-                                   "prefetch_issued_next_level");
-        res.prefetch_useful +=
-            c->stats().counter("prefetch_useful_timely") +
-            c->stats().counter("prefetch_useful_late");
-        res.prefetch_late += c->stats().counter("prefetch_useful_late");
-        res.prefetch_useless += c->stats().counter("prefetch_useless");
-    }
-    res.dram_buckets = dram_->utilizationBuckets();
     res.dram_utilization = dram_->utilization();
+    res.core_cycles = measured_cycles_;
     res.dram_bucket_epochs = dram_->bucketEpochCounts();
+    res.derive();
     return res;
 }
 

@@ -49,11 +49,16 @@ struct SystemConfig
  * (see harness/session.hpp for the window algebra: deltas carry the raw
  * per-core cycle and DRAM-epoch counts so that composing them
  * reproduces the cumulative result bit-exactly).
+ *
+ * Fields are counts or views derived from counts. The counts are the
+ * scalars listed in kRunCounters and the vectors listed in
+ * kRunCounterVectors; ipc, ipc_geomean and dram_buckets follow from
+ * them through derive(). dram_utilization is a point sample.
  */
 struct RunResult
 {
-    std::vector<double> ipc;             ///< per-core IPC
-    double ipc_geomean = 0.0;            ///< geomean of per-core IPC
+    std::vector<double> ipc;             ///< per-core IPC (derived)
+    double ipc_geomean = 0.0;            ///< geomean of ipc (derived)
     std::uint64_t instructions = 0;      ///< per-core instruction budget
     std::uint64_t llc_demand_load_misses = 0;
     std::uint64_t llc_read_misses = 0;   ///< demand + prefetch misses
@@ -61,13 +66,21 @@ struct RunResult
     std::uint64_t prefetch_useful = 0;
     std::uint64_t prefetch_useless = 0;
     std::uint64_t prefetch_late = 0;
-    std::vector<double> dram_buckets;    ///< Fig.14 utilization buckets
-    double dram_utilization = 0.0;
+    std::vector<double> dram_buckets;    ///< Fig.14 buckets (derived)
+    double dram_utilization = 0.0;       ///< EWMA at window end
     /** Measured cycles per core (the denominator behind ipc[]). */
     std::vector<std::uint64_t> core_cycles;
     /** Raw epoch counts behind dram_buckets (composable, unlike the
      *  normalized fractions). */
     std::vector<std::uint64_t> dram_bucket_epochs;
+
+    /**
+     * Set ipc[], ipc_geomean and dram_buckets from instructions,
+     * core_cycles and dram_bucket_epochs: a core with zero cycles has
+     * IPC 0 (floored just above 0 inside the geomean), and each bucket
+     * is its epoch count over their sum (all zero when the sum is 0).
+     */
+    void derive();
 
     /**
      * Prefetch accuracy = useful / issued.
@@ -81,6 +94,36 @@ struct RunResult
      */
     double accuracy() const;
 };
+
+/** One scalar counter of RunResult: its name and its field. */
+struct RunCounter
+{
+    const char* name;
+    std::uint64_t RunResult::*field;
+};
+
+/**
+ * RunResult's scalar counters, each named once, in declaration order
+ * (which is also their order on the wire). Window deltas, accumulation,
+ * the result codec and the TimeSeries columns all walk this list, so a
+ * new counter is a field, one line here and its read in
+ * System::collectResult().
+ */
+inline constexpr RunCounter kRunCounters[] = {
+    {"instructions", &RunResult::instructions},
+    {"llc_demand_load_misses", &RunResult::llc_demand_load_misses},
+    {"llc_read_misses", &RunResult::llc_read_misses},
+    {"prefetch_issued", &RunResult::prefetch_issued},
+    {"prefetch_useful", &RunResult::prefetch_useful},
+    {"prefetch_useless", &RunResult::prefetch_useless},
+    {"prefetch_late", &RunResult::prefetch_late},
+};
+
+/** RunResult's vector counters (element-wise counts), in declaration
+ *  order; the codec writes them last. */
+inline constexpr std::vector<std::uint64_t> RunResult::*
+    kRunCounterVectors[] = {&RunResult::core_cycles,
+                            &RunResult::dram_bucket_epochs};
 
 /**
  * The machine. Owns every component; workloads are cloned per core by the

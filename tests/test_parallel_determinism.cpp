@@ -20,29 +20,12 @@
 #include <string>
 #include <vector>
 
+#include "expect_run_result.hpp"
 #include "harness/shard.hpp"
 #include "harness/sweep.hpp"
 
 namespace pythia::harness {
 namespace {
-
-/** Every RunResult field, compared exactly (no tolerance: doubles from
- *  the same deterministic simulation must match to the bit). */
-void
-expectBitIdentical(const sim::RunResult& a, const sim::RunResult& b)
-{
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.ipc_geomean, b.ipc_geomean);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.llc_demand_load_misses, b.llc_demand_load_misses);
-    EXPECT_EQ(a.llc_read_misses, b.llc_read_misses);
-    EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
-    EXPECT_EQ(a.prefetch_useful, b.prefetch_useful);
-    EXPECT_EQ(a.prefetch_useless, b.prefetch_useless);
-    EXPECT_EQ(a.prefetch_late, b.prefetch_late);
-    EXPECT_EQ(a.dram_buckets, b.dram_buckets);
-    EXPECT_EQ(a.dram_utilization, b.dram_utilization);
-}
 
 void
 expectBitIdentical(const Metrics& a, const Metrics& b)
@@ -92,8 +75,8 @@ TEST(ParallelDeterminism, JobsOneAndJobsEightBitIdentical)
     ASSERT_EQ(reference.size(), parallel.size());
     for (std::size_t i = 0; i < reference.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        expectBitIdentical(reference[i].run, parallel[i].run);
-        expectBitIdentical(reference[i].baseline, parallel[i].baseline);
+        expectSameRunResult(reference[i].run, parallel[i].run);
+        expectSameRunResult(reference[i].baseline, parallel[i].baseline);
         expectBitIdentical(reference[i].metrics, parallel[i].metrics);
     }
     EXPECT_EQ(reference_runner.baselinesComputed(),
@@ -139,7 +122,7 @@ TEST(ParallelDeterminism, BaselineComputedOncePerKeyUnderContention)
     EXPECT_EQ(runner.baselinesComputed(), 1u);
     // Every job saw the same baseline object's numbers.
     for (const auto& o : outcomes)
-        expectBitIdentical(o.baseline, outcomes.front().baseline);
+        expectSameRunResult(o.baseline, outcomes.front().baseline);
 }
 
 TEST(ParallelDeterminism, FirstExceptionByJobOrderPropagates)
@@ -223,11 +206,11 @@ TEST(ParallelDeterminism, ThreadsAndProcessesBitIdentical)
     ASSERT_EQ(threads.size(), processes1.size());
     for (std::size_t i = 0; i < threads.size(); ++i) {
         SCOPED_TRACE("job " + std::to_string(i));
-        expectBitIdentical(threads[i].run, processes4[i].run);
-        expectBitIdentical(threads[i].baseline, processes4[i].baseline);
+        expectSameRunResult(threads[i].run, processes4[i].run);
+        expectSameRunResult(threads[i].baseline, processes4[i].baseline);
         expectBitIdentical(threads[i].metrics, processes4[i].metrics);
-        expectBitIdentical(threads[i].run, processes1[i].run);
-        expectBitIdentical(threads[i].baseline, processes1[i].baseline);
+        expectSameRunResult(threads[i].run, processes1[i].run);
+        expectSameRunResult(threads[i].baseline, processes1[i].baseline);
         expectBitIdentical(threads[i].metrics, processes1[i].metrics);
     }
 }

@@ -16,6 +16,8 @@
  *  - Runner::evaluateWindowed: single-boundary streaming degenerates
  *    to evaluate() bit-exactly, and the windowed baseline series is
  *    cached once per (key, boundaries).
+ *  - TimeSeries bytes: the CSV and JSON of a windowed 1-core pythia and
+ *    4-core spp session are pinned by digest.
  *  - Zero-denominator conventions of RunResult::accuracy() and
  *    computeMetrics() (harness/metrics.hpp).
  *  - Strict-CLI did-you-mean coverage for the session/window bench
@@ -31,9 +33,11 @@
 #include <vector>
 
 #include "common/config.hpp"
+#include "expect_run_result.hpp"
 #include "harness/experiment.hpp"
 #include "harness/session.hpp"
 #include "harness/timeseries.hpp"
+#include "snapshot/codec.hpp"
 
 namespace {
 
@@ -49,29 +53,6 @@ specFor(const std::string& workload, const std::string& pf,
         .warmup(10'000)
         .measure(40'000)
         .build();
-}
-
-void
-expectSameRunResult(const sim::RunResult& a, const sim::RunResult& b)
-{
-    EXPECT_EQ(a.instructions, b.instructions);
-    ASSERT_EQ(a.ipc.size(), b.ipc.size());
-    for (std::size_t c = 0; c < a.ipc.size(); ++c)
-        EXPECT_EQ(a.ipc[c], b.ipc[c]) << "core " << c;
-    EXPECT_EQ(a.ipc_geomean, b.ipc_geomean);
-    EXPECT_EQ(a.llc_demand_load_misses, b.llc_demand_load_misses);
-    EXPECT_EQ(a.llc_read_misses, b.llc_read_misses);
-    EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
-    EXPECT_EQ(a.prefetch_useful, b.prefetch_useful);
-    EXPECT_EQ(a.prefetch_useless, b.prefetch_useless);
-    EXPECT_EQ(a.prefetch_late, b.prefetch_late);
-    EXPECT_EQ(a.core_cycles, b.core_cycles);
-    EXPECT_EQ(a.dram_bucket_epochs, b.dram_bucket_epochs);
-    ASSERT_EQ(a.dram_buckets.size(), b.dram_buckets.size());
-    for (std::size_t i = 0; i < a.dram_buckets.size(); ++i)
-        EXPECT_EQ(a.dram_buckets[i], b.dram_buckets[i]) << "bucket " << i;
-    EXPECT_EQ(a.dram_utilization, b.dram_utilization);
-    EXPECT_EQ(a.accuracy(), b.accuracy());
 }
 
 /** Stream @p spec over uneven windows; return (deltas, cumulative). */
@@ -431,6 +412,42 @@ TEST(TimeSeries, JsonRoundTripMatchesCsvNumbers)
                       samples[i].delta.accuracy());
         EXPECT_EQ(jsonNumber(obj, "accuracy"), nine);
     }
+}
+
+namespace {
+
+/** FNV-1a 64 of writeCsv() followed by writeJson() for @p spec
+ *  streamed in windows of @p window_instrs. */
+std::uint64_t
+seriesDigest(const harness::ExperimentSpec& spec,
+             std::uint64_t window_instrs)
+{
+    harness::TimeSeries series;
+    harness::SimSession session(spec);
+    session.addObserver(&series);
+    while (!session.done())
+        session.advance(window_instrs);
+    std::ostringstream os;
+    series.writeCsv(os);
+    series.writeJson(os);
+    return snap::fnv1a(os.str());
+}
+
+} // namespace
+
+// The CSV and JSON series are formats other tools parse: a change to how
+// RunResult's ratios are derived or how the columns are listed must not
+// move a byte. These digests change only with a deliberate format or
+// model change.
+TEST(TimeSeriesBytes, CsvAndJsonDigestsArePinned)
+{
+    EXPECT_EQ(seriesDigest(specFor("462.libquantum-1343B", "pythia", 1),
+                           7'000),
+              0x39b6aeb500e49b5full)
+        << "1-core pythia series bytes moved";
+    EXPECT_EQ(seriesDigest(specFor("PARSEC-Canneal", "spp", 4), 9'000),
+              0x62fc6fc27b90e76aull)
+        << "4-core spp series bytes moved";
 }
 
 // ------------------------------------------- zero-denominator contracts

@@ -30,6 +30,7 @@
 #include <unistd.h>
 
 #include "common/frame.hpp"
+#include "expect_run_result.hpp"
 #include "harness/session.hpp"
 #include "harness/shard.hpp"
 
@@ -88,28 +89,10 @@ class ShardService : public ::testing::Test
 };
 
 void
-expectBitIdentical(const sim::RunResult& a, const sim::RunResult& b)
-{
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.ipc_geomean, b.ipc_geomean);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.llc_demand_load_misses, b.llc_demand_load_misses);
-    EXPECT_EQ(a.llc_read_misses, b.llc_read_misses);
-    EXPECT_EQ(a.prefetch_issued, b.prefetch_issued);
-    EXPECT_EQ(a.prefetch_useful, b.prefetch_useful);
-    EXPECT_EQ(a.prefetch_useless, b.prefetch_useless);
-    EXPECT_EQ(a.prefetch_late, b.prefetch_late);
-    EXPECT_EQ(a.dram_buckets, b.dram_buckets);
-    EXPECT_EQ(a.dram_utilization, b.dram_utilization);
-    EXPECT_EQ(a.core_cycles, b.core_cycles);
-    EXPECT_EQ(a.dram_bucket_epochs, b.dram_bucket_epochs);
-}
-
-void
 expectBitIdentical(const Runner::Outcome& a, const Runner::Outcome& b)
 {
-    expectBitIdentical(a.run, b.run);
-    expectBitIdentical(a.baseline, b.baseline);
+    expectSameRunResult(a.run, b.run, "run");
+    expectSameRunResult(a.baseline, b.baseline, "baseline");
     EXPECT_EQ(a.metrics.speedup, b.metrics.speedup);
     EXPECT_EQ(a.metrics.coverage, b.metrics.coverage);
     EXPECT_EQ(a.metrics.overprediction, b.metrics.overprediction);
@@ -382,19 +365,6 @@ TEST_F(ShardService, SlowWorkerIsStolenFrom)
     const auto outcomes = runSharded(opt, testSweep(), &report);
     expectBitIdentical(outcomes, reference());
     EXPECT_GE(report.stolen_jobs, 1u);
-}
-
-TEST_F(ShardService, StealingCanBeDisabled)
-{
-    EnvGuard slow_worker("PYTHIA_SHARD_SLOW_WORKER", "0");
-    EnvGuard slow_ms("PYTHIA_SHARD_SLOW_MS", "100");
-    ShardOptions opt;
-    opt.workers = 2;
-    opt.steal = false;
-    ShardReport report;
-    const auto outcomes = runSharded(opt, testSweep(), &report);
-    expectBitIdentical(outcomes, reference());
-    EXPECT_EQ(report.stolen_jobs, 0u);
 }
 
 TEST_F(ShardService, MissingWorkerBinaryIsATypedError)

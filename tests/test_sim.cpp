@@ -169,7 +169,12 @@ TEST(Dram, BucketsSumToOne)
     for (int i = 0; i < 500; ++i)
         t = d.access(static_cast<Addr>(i) * 64, t + 100, false);
     d.access(1ull << 33, t + 100000, false);
-    const auto buckets = d.utilizationBuckets();
+    // The fractions a run reports: RunResult::derive() normalizes the
+    // DRAM's raw epoch counts.
+    RunResult r;
+    r.dram_bucket_epochs = d.bucketEpochCounts();
+    r.derive();
+    const auto& buckets = r.dram_buckets;
     ASSERT_EQ(buckets.size(), 4u);
     double sum = 0;
     for (double b : buckets)

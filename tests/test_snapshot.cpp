@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "expect_run_result.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
@@ -69,27 +70,6 @@ writeFileBytes(const std::string& path,
     ASSERT_TRUE(f) << path;
     f.write(reinterpret_cast<const char*>(bytes.data()),
             static_cast<std::streamsize>(bytes.size()));
-}
-
-/** Field-for-field bit-exact RunResult comparison (doubles with ==;
- *  the golden suite pins the same way). */
-void
-expectSameResult(const sim::RunResult& a, const sim::RunResult& b,
-                 const std::string& what)
-{
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.ipc_geomean, b.ipc_geomean) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.llc_demand_load_misses, b.llc_demand_load_misses) << what;
-    EXPECT_EQ(a.llc_read_misses, b.llc_read_misses) << what;
-    EXPECT_EQ(a.prefetch_issued, b.prefetch_issued) << what;
-    EXPECT_EQ(a.prefetch_useful, b.prefetch_useful) << what;
-    EXPECT_EQ(a.prefetch_useless, b.prefetch_useless) << what;
-    EXPECT_EQ(a.prefetch_late, b.prefetch_late) << what;
-    EXPECT_EQ(a.dram_buckets, b.dram_buckets) << what;
-    EXPECT_EQ(a.dram_utilization, b.dram_utilization) << what;
-    EXPECT_EQ(a.core_cycles, b.core_cycles) << what;
-    EXPECT_EQ(a.dram_bucket_epochs, b.dram_bucket_epochs) << what;
 }
 
 /** A small, cheap spec that still exercises the full Pythia stack
@@ -492,7 +472,7 @@ TEST(SnapSession, PostWarmupResumeMatchesStraightThrough)
     EXPECT_EQ(resumed.instrsAdvanced(), 0u);
     const sim::RunResult replayed = resumed.runToCompletion();
 
-    expectSameResult(straight, replayed, "post-warmup resume");
+    expectSameRunResult(straight, replayed, "post-warmup resume");
 }
 
 TEST(SnapSession, MidRunResumeMatchesStraightThrough)
@@ -511,7 +491,7 @@ TEST(SnapSession, MidRunResumeMatchesStraightThrough)
     EXPECT_EQ(resumed.windowsCompleted(), 1u);
     const sim::RunResult replayed = resumed.runToCompletion();
 
-    expectSameResult(straight, replayed, "mid-run resume");
+    expectSameRunResult(straight, replayed, "mid-run resume");
 }
 
 TEST(SnapSession, SnapshotFileHasTheDocumentedSections)
@@ -618,10 +598,10 @@ TEST(SnapWarmCache, WarmRunReproducesColdRunByteIdentically)
     EXPECT_EQ(warm_runner.warmHits(), 2u);
     EXPECT_EQ(warm_runner.warmMisses(), 0u);
 
-    expectSameResult(want.run, cold.run, "cold run, cache populating");
-    expectSameResult(want.baseline, cold.baseline, "cold baseline");
-    expectSameResult(want.run, warm.run, "warm run");
-    expectSameResult(want.baseline, warm.baseline, "warm baseline");
+    expectSameRunResult(want.run, cold.run, "cold run, cache populating");
+    expectSameRunResult(want.baseline, cold.baseline, "cold baseline");
+    expectSameRunResult(want.run, warm.run, "warm run");
+    expectSameRunResult(want.baseline, warm.baseline, "warm baseline");
 }
 
 TEST(SnapWarmCache, CorruptCacheEntryFallsBackCold)
@@ -650,15 +630,15 @@ TEST(SnapWarmCache, CorruptCacheEntryFallsBackCold)
     const harness::Runner::Outcome got = recover.evaluate(spec);
     EXPECT_EQ(recover.warmHits(), 0u);
     EXPECT_EQ(recover.warmMisses(), 2u);
-    expectSameResult(want.run, got.run, "corrupt-cache fallback run");
-    expectSameResult(want.baseline, got.baseline,
+    expectSameRunResult(want.run, got.run, "corrupt-cache fallback run");
+    expectSameRunResult(want.baseline, got.baseline,
                      "corrupt-cache fallback baseline");
 
     harness::Runner repaired;
     repaired.setSnapshotDir(dir);
     const harness::Runner::Outcome again = repaired.evaluate(spec);
     EXPECT_EQ(repaired.warmHits(), 2u);
-    expectSameResult(want.run, again.run, "repaired cache run");
+    expectSameRunResult(want.run, again.run, "repaired cache run");
 }
 
 TEST(SnapWarmCache, UnsupportedPrefetcherRunsColdWithoutCacheEntry)
@@ -673,7 +653,7 @@ TEST(SnapWarmCache, UnsupportedPrefetcherRunsColdWithoutCacheEntry)
     harness::Runner runner;
     runner.setSnapshotDir(dir);
     const harness::Runner::Outcome got = runner.evaluate(spec);
-    expectSameResult(want.run, got.run, "unsupported prefetcher run");
+    expectSameRunResult(want.run, got.run, "unsupported prefetcher run");
 
     // The baseline (prefetcher "none") caches fine; the dspatch run
     // must not leave an entry behind.
@@ -689,7 +669,7 @@ TEST(SnapWarmCache, UnsupportedPrefetcherRunsColdWithoutCacheEntry)
     const harness::Runner::Outcome again = warm.evaluate(spec);
     EXPECT_EQ(warm.warmHits(), 1u);  // baseline only
     EXPECT_EQ(warm.warmMisses(), 1u);
-    expectSameResult(want.run, again.run, "unsupported prefetcher rerun");
+    expectSameRunResult(want.run, again.run, "unsupported prefetcher rerun");
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "expect_run_result.hpp"
 #include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/session.hpp"
@@ -70,25 +71,6 @@ cellName(const GridCell& cell)
            std::to_string(cell.cores) + "c";
 }
 
-void
-expectSameResult(const sim::RunResult& a, const sim::RunResult& b,
-                 const std::string& what)
-{
-    EXPECT_EQ(a.ipc, b.ipc) << what;
-    EXPECT_EQ(a.ipc_geomean, b.ipc_geomean) << what;
-    EXPECT_EQ(a.instructions, b.instructions) << what;
-    EXPECT_EQ(a.llc_demand_load_misses, b.llc_demand_load_misses) << what;
-    EXPECT_EQ(a.llc_read_misses, b.llc_read_misses) << what;
-    EXPECT_EQ(a.prefetch_issued, b.prefetch_issued) << what;
-    EXPECT_EQ(a.prefetch_useful, b.prefetch_useful) << what;
-    EXPECT_EQ(a.prefetch_useless, b.prefetch_useless) << what;
-    EXPECT_EQ(a.prefetch_late, b.prefetch_late) << what;
-    EXPECT_EQ(a.dram_buckets, b.dram_buckets) << what;
-    EXPECT_EQ(a.dram_utilization, b.dram_utilization) << what;
-    EXPECT_EQ(a.core_cycles, b.core_cycles) << what;
-    EXPECT_EQ(a.dram_bucket_epochs, b.dram_bucket_epochs) << what;
-}
-
 /** Snapshot after warmup, run straight through, then resume from the
  *  snapshot and run again: both results must match bit-exactly. */
 void
@@ -109,7 +91,7 @@ checkRestoreAdvance(const GridCell& cell)
     harness::SimSession resumed =
         harness::SimSession::resumeFrom(spec, path);
     const sim::RunResult replayed = resumed.runToCompletion();
-    expectSameResult(straight, replayed, cellName(cell));
+    expectSameRunResult(straight, replayed, cellName(cell));
     fs::remove(path);
 }
 
@@ -149,8 +131,8 @@ TEST(SnapshotGolden, WarmSweepCellMatchesColdOutcome)
     EXPECT_EQ(warm.warmHits(), 2u);
     EXPECT_EQ(warm.warmMisses(), 0u);
 
-    expectSameResult(cold_out.run, warm_out.run, "warm sweep run");
-    expectSameResult(cold_out.baseline, warm_out.baseline,
+    expectSameRunResult(cold_out.run, warm_out.run, "warm sweep run");
+    expectSameRunResult(cold_out.baseline, warm_out.baseline,
                      "warm sweep baseline");
     EXPECT_EQ(cold_out.metrics.speedup, warm_out.metrics.speedup);
     EXPECT_EQ(cold_out.metrics.coverage, warm_out.metrics.coverage);
